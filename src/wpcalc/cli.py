@@ -25,19 +25,34 @@ def _weights_arg(text: str):
         raise ParseError(f"bad --weights value {text!r}") from exc
 
 
+def _read_config(path: str):
+    """(weights, ordinary labels) of a JSON weight config file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read weight config {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"weight config {path!r} is not a JSON object")
+    weights = data.get("weights", [])
+    ordinary = data.get("ordinary", [])
+    # bool is a subclass of int, but true/false are not weights
+    if not isinstance(weights, list) or not all(type(r) is int for r in weights):
+        raise ParseError(f"weight config {path!r}: weights must be a list of integers")
+    if not isinstance(ordinary, list) or not all(isinstance(y, str) for y in ordinary):
+        raise ParseError(f"weight config {path!r}: ordinary must be a list of strings")
+    return weights, ordinary
+
+
 def _model(args) -> wpl.WplData:
     weights = _weights_arg(args.weights or "")
     ordinary = [t for t in (args.ordinary or "").split(",") if t]
     if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read weight config {args.config!r}: {exc}") from exc
+        file_weights, file_ordinary = _read_config(args.config)
         if not args.weights:
-            weights = data.get("weights", [])
+            weights = file_weights
         if not args.ordinary:
-            ordinary = data.get("ordinary", [])
+            ordinary = file_ordinary
     return wpl.WplData(lgroup.Weights(weights), ordinary)
 
 

@@ -19,6 +19,8 @@ with a thick subcategory of the perpendicular of E, translated through
 the explicit embedding of the perpendicular's factors.  Signatures (the
 member arcs of length <= rank) are computed by double orthogonality,
 which is valid because every thick subcategory here is admissible.
+Each category keeps a bitset index of those arcs, with Hom/Ext-orthogonal
+and subarc masks as Python ints, so a closure is a few mask ANDs.
 """
 
 import re
@@ -143,7 +145,6 @@ def _count_congruent(lo: int, hi: int, residue: int, n: int) -> int:
     return (hi - residue) // n - (lo - 1 - residue) // n
 
 
-@lru_cache(maxsize=65536)
 def _hom(x: Arc, y: Arc) -> int:
     """dim Hom(x, y).
 
@@ -197,13 +198,13 @@ def classify_arc(a: Arc) -> ArcClass:
 # -- matrix realization -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def cycle_quiver(n: int) -> Quiver:
     """Oriented cycle Z_n on vertices 0..n-1, arrows i -> i+1 (mod n)."""
     return Quiver(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def line_quiver(n: int) -> Quiver:
     """Linear quiver A_n on vertices 1..n, arrows i -> i+1."""
     return Quiver(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
@@ -368,38 +369,83 @@ def _proper_subarcs(a: Arc):
             yield Arc(a.cat, a.top - a.length + j, j)
 
 
-def _minimal_members(sig: frozenset):
-    """Members with no proper member subobject: the relative simples."""
-    return sorted(a for a in sig if not any(s in sig for s in _proper_subarcs(a)))
+def _zero_bits(pairs) -> int:
+    """Mask of the positions where (Hom, Ext^1) vanishes."""
+    return sum(1 << k for k, he in enumerate(pairs) if he == (0, 0))
 
 
-def _right_orthogonal_signature(cat: SerialCat, gens) -> frozenset:
-    return frozenset(
-        y for y in all_arcs(cat) if all(dims(g, y) == (0, 0) for g in gens)
-    )
+class _ArcIndex:
+    """Bitset view of the arcs of length <= rank of one category.
 
-
-def _left_orthogonal_signature(cat: SerialCat, gens) -> frozenset:
-    return _left_orthogonal_cached(cat, tuple(gens))
-
-
-@lru_cache(maxsize=None)
-def _left_orthogonal_cached(cat: SerialCat, gens: tuple) -> frozenset:
-    return frozenset(
-        y for y in all_arcs(cat) if all(dims(y, g) == (0, 0) for g in gens)
-    )
-
-
-def _closure_signature(cat: SerialCat, gens) -> frozenset:
-    """Members (length <= rank) of the thick closure of ``gens``.
-
-    Double orthogonality: the closure T is admissible, so it is recovered
-    from its right orthogonal as T = perp(T^perp): first collect the arcs
-    right-orthogonal to the generators, reduce them to their relative
-    simples, then collect everything left-orthogonal to those.
+    Bit k stands for ``arcs[k]`` (``all_arcs`` order).  ``sub[k]`` masks
+    the proper subarcs of arc k.  The right mask of arc k holds the arcs y
+    with Hom(arc k, y) = Ext^1(arc k, y) = 0, the left mask those with
+    Hom(y, arc k) = Ext^1(y, arc k) = 0; each is filled from ``dims`` the
+    first time it is asked for.
     """
-    right = _minimal_members(_right_orthogonal_signature(cat, gens))
-    return _left_orthogonal_signature(cat, right)
+
+    def __init__(self, cat: SerialCat):
+        self.cat = cat
+        self.arcs = all_arcs(cat)
+        self.bit = {a: k for k, a in enumerate(self.arcs)}
+        self.full = (1 << len(self.arcs)) - 1
+        self.sub = [sum(1 << self.bit[s] for s in _proper_subarcs(a)) for a in self.arcs]
+        self._right = [None] * len(self.arcs)
+        self._left = [None] * len(self.arcs)
+        self.signatures = None  # frozenset of masks, once enumerated
+
+    def right(self, g: Arc) -> int:
+        """Mask of the arcs right-orthogonal to g (any length)."""
+        k = self.bit.get(g)
+        if k is None:
+            return _zero_bits(dims(g, y) for y in self.arcs)
+        if self._right[k] is None:
+            self._right[k] = _zero_bits(dims(g, y) for y in self.arcs)
+        return self._right[k]
+
+    def left(self, k: int) -> int:
+        """Mask of the arcs left-orthogonal to arc k."""
+        if self._left[k] is None:
+            g = self.arcs[k]
+            self._left[k] = _zero_bits(dims(y, g) for y in self.arcs)
+        return self._left[k]
+
+    def minimal(self, mask: int) -> list:
+        """Bits of the members with no proper member subarc: the relative simples."""
+        sub = self.sub
+        out = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            k = low.bit_length() - 1
+            if not sub[k] & mask:
+                out.append(k)
+            rest ^= low
+        return out
+
+    def left_of(self, bits) -> int:
+        mask = self.full
+        for k in bits:
+            mask &= self.left(k)
+        return mask
+
+    def closure(self, right: int) -> int:
+        """Members of the thick subcategory whose right orthogonal is ``right``.
+
+        Double orthogonality: the closure T is admissible, so T = perp(T^perp);
+        reduce the right orthogonal to its relative simples and collect
+        everything left-orthogonal to those.
+        """
+        return self.left_of(self.minimal(right))
+
+    def members(self, mask: int) -> tuple:
+        """The arcs of a mask, sorted."""
+        return tuple(sorted(a for k, a in enumerate(self.arcs) if mask >> k & 1))
+
+
+@lru_cache(maxsize=32)
+def _index(cat: SerialCat) -> _ArcIndex:
+    return _ArcIndex(cat)
 
 
 def _block_structure(cat: SerialCat, rel) -> Embedding:
@@ -467,13 +513,13 @@ def _block_structure(cat: SerialCat, rel) -> Embedding:
     return Embedding(cat, tuple(factors))
 
 
-def _build_desc(cat: SerialCat, sig: frozenset) -> ThickDesc:
-    rel = _minimal_members(sig)
-    embedding = _block_structure(cat, rel)
-    left = _minimal_members(_left_orthogonal_signature(cat, rel))
+def _build_desc(idx: _ArcIndex, sig: int) -> ThickDesc:
+    rel_bits = idx.minimal(sig)
+    embedding = _block_structure(idx.cat, sorted(idx.arcs[k] for k in rel_bits))
+    left = sorted(idx.arcs[k] for k in idx.minimal(idx.left_of(rel_bits)))
     return ThickDesc(
-        cat=cat,
-        signature=tuple(sorted(sig)),
+        cat=idx.cat,
+        signature=idx.members(sig),
         shape=tuple(f.cat for f in embedding.factors),
         embedding=embedding,
         left_orthogonal=tuple(left),
@@ -482,32 +528,40 @@ def _build_desc(cat: SerialCat, sig: frozenset) -> ThickDesc:
 
 def thick_closure(cat: SerialCat, gens) -> ThickDesc:
     """The thick subcategory generated by the given arcs."""
-    gens = list(gens)
+    idx = _index(cat)
+    right = idx.full
     for g in gens:
         if g.cat != cat:
             raise CategoryMismatch(f"generator {g} is not in {cat}")
-    return _build_desc(cat, _closure_signature(cat, gens))
+        right &= idx.right(g)
+    return _build_desc(idx, idx.closure(right))
 
 
-@lru_cache(maxsize=None)
-def _enumerate_signatures(cat: SerialCat):
-    """All thick-subcategory signatures, via the perpendicular recursion."""
-    out = {frozenset()}
-    for e in all_arcs(cat):
+def _enumerate_signatures(idx: _ArcIndex) -> frozenset:
+    """All thick-subcategory signatures, via the perpendicular recursion.
+
+    The right orthogonal of the subcategory generated by e and the
+    translated relative simples of one thick subcategory per perpendicular
+    factor is the AND of their right masks.
+    """
+    if idx.signatures is not None:
+        return idx.signatures
+    out = {0}
+    for e in idx.arcs:
         emb = perp_arc(e)
-        factor_sigs = [sorted(_enumerate_signatures(f.cat)) for f in emb.factors]
-        # abstract relative simples per signature, precomputed
-        factor_rels = [
-            [(_minimal_members(sig)) for sig in sigs] for sigs in factor_sigs
-        ]
-        combos = [[]]
-        for f, rels in zip(emb.factors, factor_rels):
-            combos = [
-                prev + [f.embed(s) for s in rel] for prev in combos for rel in rels
-            ]
-        for translated in combos:
-            out.add(_closure_signature(cat, [e] + translated))
-    return frozenset(out)
+        rights = {idx.right(e)}
+        for f in emb.factors:
+            fidx = _index(f.cat)
+            factor_rights = set()
+            for sig in _enumerate_signatures(fidx):
+                mask = idx.full
+                for k in fidx.minimal(sig):
+                    mask &= idx.right(f.embed(fidx.arcs[k]))
+                factor_rights.add(mask)
+            rights = {r & fr for r in rights for fr in factor_rights}
+        out.update(idx.closure(r) for r in rights)
+    idx.signatures = frozenset(out)
+    return idx.signatures
 
 
 def membership(t: ThickDesc, x: Arc) -> bool:
@@ -528,8 +582,9 @@ def enumerate_thick(cat: SerialCat):
         raise BoundExceeded(f"tube enumeration capped at rank {MAX_CYCLE_RANK}")
     if cat.kind == "line" and cat.rank > MAX_LINE_RANK:
         raise BoundExceeded(f"line enumeration capped at rank {MAX_LINE_RANK}")
-    sigs = sorted(_enumerate_signatures(cat), key=lambda s: (len(s), tuple(sorted(s))))
-    return [_build_desc(cat, sig) for sig in sigs]
+    idx = _index(cat)
+    sigs = sorted(_enumerate_signatures(idx), key=lambda s: (s.bit_count(), idx.members(s)))
+    return [_build_desc(idx, sig) for sig in sigs]
 
 
 def shape_of_thick(t: ThickDesc):

@@ -30,7 +30,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import NamedTuple
 
 from . import lgroup
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .lgroup import LElement, Weights
 from .quiver import ExtMatrix, Quiver, ext_quiver
-from .serial import Arc, cycle, dims as tube_dims
+from .serial import Arc, HomExt, cycle, dims as tube_dims
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,6 @@ class TorsionO:
 
 
 SheafClass = LineBundle | TorsionW | TorsionO
-
-
-class HomExt(NamedTuple):
-    hom: int
-    ext1: int
 
 
 def _validate(w: WplData, f: SheafClass) -> SheafClass:
@@ -513,7 +507,3 @@ def parse_sheaf(w: WplData, text: str) -> SheafClass:
         except (UnknownPoint, ModelMismatch) as exc:
             raise ParseError(f"bad torsion literal {text!r}: {exc}") from exc
     raise ParseError(f"bad sheaf literal {text!r}")
-
-
-def format_sheaf(f: SheafClass) -> str:
-    return str(f)

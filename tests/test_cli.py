@@ -194,6 +194,24 @@ class TestCommands:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [2, 3],  # not an object
+            {"weights": "ab"},  # weights not a list
+            {"weights": [2, 2.5]},  # non-integer weight
+            {"weights": [2], "ordinary": "y"},  # labels not a list
+            {"weights": [2], "ordinary": [["y"]]},  # non-string label
+        ],
+    )
+    def test_malformed_config_exit_2(self, capsys, tmp_path, document):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(document))
+        code, out, err = run(capsys, "hom", "--config", str(cfg), "O(0)", "O(0)")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "ParseError" in err
+
     def test_input_error_exit_2(self, capsys):
         code, out, err = run(capsys, "tube", "enumerate", "9")
         assert code == 2

@@ -288,6 +288,39 @@ def closure_oracle(cat, gens, cap):
         current |= new
 
 
+def _minimal_members(sig):
+    """Members with no proper member subobject: the relative simples."""
+
+    def proper_subarcs(a):
+        for j in range(1, a.length):
+            yield Arc(a.cat, a.top - a.length + j, j)
+
+    return sorted(a for a in sig if not any(s in sig for s in proper_subarcs(a)))
+
+
+def _right_orthogonal_signature(cat, gens):
+    return frozenset(
+        y for y in all_arcs(cat) if all(dims(g, y) == (0, 0) for g in gens)
+    )
+
+
+def _left_orthogonal_signature(cat, gens):
+    return frozenset(
+        y for y in all_arcs(cat) if all(dims(y, g) == (0, 0) for g in gens)
+    )
+
+
+def double_orthogonal_oracle(cat, gens):
+    """Members (length <= rank) of the thick closure of ``gens``, one arc at a time.
+
+    The same double orthogonality as the engine's bitset index, taken over
+    sets of arcs and fresh ``dims`` calls: right orthogonal, its relative
+    simples, their left orthogonal.
+    """
+    right = _minimal_members(_right_orthogonal_signature(cat, gens))
+    return _left_orthogonal_signature(cat, right)
+
+
 class TestMembership:
     def test_generators_belong(self):
         t = thick_closure(cycle(3), [Arc(cycle(3), 0, 1), Arc(cycle(3), 2, 1)])
@@ -325,6 +358,20 @@ class TestMembership:
         sphere = thick_closure(cycle(2), [Arc(cycle(2), 0, 2)])
         assert long.signature == sphere.signature == (Arc(cycle(2), 0, 2),)
 
+    def test_signatures_match_double_orthogonal_oracle(self):
+        cats = [cycle(n) for n in range(1, 6)] + [line(n) for n in range(0, 8)]
+        for cat in cats:
+            for t in enumerate_thick(cat):
+                sig = double_orthogonal_oracle(cat, t.relative_simples())
+                assert tuple(sorted(sig)) == t.signature
+
+    def test_long_generator_matches_double_orthogonal_oracle(self):
+        for n in (1, 2, 3):
+            cat = cycle(n)
+            for g in all_arcs(cat, 3 * n):
+                sig = double_orthogonal_oracle(cat, [g])
+                assert thick_closure(cat, [g]).signature == tuple(sorted(sig))
+
     def test_signatures_match_closure_oracle(self):
         for n in (1, 2, 3):
             for t in enumerate_thick(cycle(n)):
@@ -337,7 +384,7 @@ class TestMembership:
 
 class TestEnumerate:
     def test_counts_central_binomial(self):
-        for n in (1, 2, 3, 4):
+        for n in range(1, 7):
             assert len(enumerate_thick(cycle(n))) == comb(2 * n, n)
 
     def test_line2_count_and_oracle(self):
@@ -361,7 +408,7 @@ class TestEnumerate:
         def catalan(k):
             return comb(2 * k, k) // (k + 1)
 
-        for n in (0, 1, 2, 3, 4, 5):
+        for n in range(0, 9):
             assert len(enumerate_thick(line(n))) == catalan(n + 1)
 
     def test_bounds(self):

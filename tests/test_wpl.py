@@ -13,6 +13,7 @@ from wpcalc.errors import (
 )
 from wpcalc.lgroup import Weights
 from wpcalc.quiver import same_multigraph
+from wpcalc.serial import cycle, enumerate_thick, shape_of_thick
 from wpcalc.wpl import (
     ClassifyKind,
     Collection,
@@ -429,6 +430,19 @@ class TestCountBig:
         assert count_big(W23) == 30
         assert count_big(W3333) == 10000
         assert count_big(WP1) == 1
+
+    def test_factor_from_enumeration(self):
+        # the per-point factor C(2r,r)/2 counts the thick subcategories of
+        # the tube U_r with no cycle factor
+        factor = {
+            r: sum(1 for t in enumerate_thick(cycle(r)) if not shape_of_thick(t)[0])
+            for r in range(1, 7)
+        }
+        assert list(factor.values()) == [1, 3, 10, 35, 126, 462]
+        assert count_big(WplData(Weights([]), ["y"])) == factor[1]
+        for r in range(2, 7):
+            assert count_big(WplData(Weights([r]))) == factor[r]
+        assert count_big(WplData(Weights([2, 3, 6]))) == factor[2] * factor[3] * factor[6]
 
 
 class TestClassify:
