@@ -10,9 +10,10 @@ never tracebacks.
 import argparse
 import json
 import sys
+from math import lgamma, log, log10
 
 from . import lgroup, serial, wpl
-from .errors import InputError, InternalError, ParseError
+from .errors import BoundExceeded, InputError, InternalError, ParseError
 from .quiver import Quiver, quiver_to_json_dict, quiver_to_text
 
 
@@ -205,9 +206,23 @@ def _cmd_enumerate(args, kind):
 
 
 def _cmd_count_big(args):
+    """Refuses a count with more digits than int-to-str conversion allows.
+
+    A log-gamma estimate of the digit count rejects large weights before
+    any binomial is computed; near the limit the exact count decides.
+    """
     w = _model(args)
-    n = wpl.count_big(w)
-    _emit(args, {"count": n}, str(n))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # log10 of each factor C(2r, r) / 2; the float error is far below the margin of 1
+    digits = sum(
+        (lgamma(2 * r + 1) - 2 * lgamma(r + 1)) / log(10) - log10(2) for r in w.weights.r
+    )
+    if not limit or digits <= limit + 1:
+        n = wpl.count_big(w)
+        if not limit or n < 10**limit:
+            _emit(args, {"count": n}, str(n))
+            return
+    raise BoundExceeded(f"count-big has more than {limit} decimal digits")
 
 
 def _cmd_classify(args):

@@ -7,19 +7,19 @@ tau S_{i,j} = S_{i,j-1}); at a user-declared ordinary point it is a rank
 1 tube.  S_{i,j} is the cokernel of O((j-1)x_i) -> O(j x_i), which makes
 the top of O(lam) at x_i the simple S_{i, b_i(lam)}.
 
-Hom/Ext dimensions are assembled from four ingredients, each straight
-from the graded picture:
+Hom dimensions have three closed forms, each straight from the graded
+picture; every other pair of classes has no Homs:
 
 * line bundle to line bundle: ``a+1`` if ``a >= 0`` else 0, where a is
-  the c-coefficient of the normal form of the difference; Ext^1 by Serre
-  duality (shift by omega);
-* line bundle to torsion: Ext^1 vanishes, Hom equals the Euler pairing,
-  additive over the torsion arc's composition factors, with
-  ``chi(L, S_{i,j}) = chi(L, O(j x_i)) - chi(L, O((j-1) x_i))`` and 1 per
-  ordinary-point simple;
-* torsion to line bundle: Hom vanishes, Ext^1 is Serre-dual to case two;
-* torsion to torsion: zero across distinct points, tube arithmetic
-  (:func:`wpcalc.serial.dims`) at a common point.
+  the c-coefficient of the normal form of the difference;
+* line bundle to torsion: the number of the arc's composition factors
+  that are the top of the bundle, i.e. factors S_{i,j} with
+  ``j = b_i(lam) mod r_i`` (every factor at an ordinary point);
+* torsion to torsion at a common point: tube arithmetic
+  (:func:`wpcalc.serial.dims`).
+
+Ext^1 is Serre-dual to a Hom: ``Ext^1(f, g) = Hom(g, tau f)``, with tau
+the shift by omega on bundles and the tube translate on torsion.
 
 The twist sigma at a point adds the point's generator to line-bundle
 gradings and acts as tau^{-1} on torsion at that point; its w(x)-th
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .lgroup import LElement, Weights
 from .quiver import ExtMatrix, Quiver, ext_quiver
-from .serial import Arc, HomExt, cycle, dims as tube_dims
+from .serial import Arc, HomExt, _count_congruent, cycle, dims as tube_dims, perp_arc
 
 
 @dataclass(frozen=True)
@@ -143,25 +143,6 @@ def _hom_lb(w: WplData, lam_from: LElement, lam_to: LElement) -> int:
     return a + 1 if a >= 0 else 0
 
 
-def _chi_lb(w: WplData, lam_from: LElement, lam_to: LElement) -> int:
-    ext = _hom_lb(w, lam_to, lgroup.add(w.weights, lam_from, lgroup.omega(w.weights)))
-    return _hom_lb(w, lam_from, lam_to) - ext
-
-
-def _chi_lb_torsion(w: WplData, lam: LElement, t) -> int:
-    """Euler pairing of O(lam) against a torsion arc, factor by factor."""
-    if isinstance(t, TorsionO):
-        return t.length
-    total = 0
-    xi = lgroup.xbar(w.weights, t.i)
-    for k in range(t.length):
-        j = t.top - k
-        upper = lgroup.scale(w.weights, j, xi)
-        lower = lgroup.scale(w.weights, j - 1, xi)
-        total += _chi_lb(w, lam, upper) - _chi_lb(w, lam, lower)
-    return total
-
-
 def _tube_arc(w: WplData, f) -> Arc:
     if isinstance(f, TorsionW):
         return Arc(cycle(w.weight_of(f.i)), f.top, f.length)
@@ -186,23 +167,26 @@ def tau_sheaf(w: WplData, f: SheafClass) -> SheafClass:
     return f
 
 
+def _hom(w: WplData, f: SheafClass, g: SheafClass) -> int:
+    """dim Hom(f, g) of validated classes."""
+    if isinstance(f, LineBundle):
+        if isinstance(g, LineBundle):
+            return _hom_lb(w, f.lam, g.lam)
+        if isinstance(g, TorsionO):
+            return g.length
+        return _count_congruent(
+            g.top - g.length + 1, g.top, f.lam.b[g.i - 1], w.weight_of(g.i)
+        )
+    if _same_point(f, g):
+        return tube_dims(_tube_arc(w, f), _tube_arc(w, g)).hom
+    return 0
+
+
 def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
+    """(dim Hom(f, g), dim Ext^1(f, g)), the latter as Hom(g, tau f)."""
     f = _validate(w, f)
     g = _validate(w, g)
-    if isinstance(f, LineBundle) and isinstance(g, LineBundle):
-        hom = _hom_lb(w, f.lam, g.lam)
-        ext = _hom_lb(w, g.lam, lgroup.add(w.weights, f.lam, lgroup.omega(w.weights)))
-        return HomExt(hom, ext)
-    if isinstance(f, LineBundle):
-        hom = _chi_lb_torsion(w, f.lam, g)
-        assert hom >= 0, "negative Hom from a line bundle into torsion"
-        return HomExt(hom, 0)
-    if isinstance(g, LineBundle):
-        return HomExt(0, hom_ext(w, g, tau_sheaf(w, f)).hom)
-    if not _same_point(f, g):
-        return HomExt(0, 0)
-    h, e = tube_dims(_tube_arc(w, f), _tube_arc(w, g))
-    return HomExt(h, e)
+    return HomExt(_hom(w, f, g), _hom(w, g, tau_sheaf(w, f)))
 
 
 def euler(w: WplData, f: SheafClass, g: SheafClass) -> int:
@@ -249,13 +233,17 @@ def sigma_twist(w: WplData, point, f: SheafClass) -> SheafClass:
     return f
 
 
-def c_twist(w: WplData, point, f: SheafClass) -> SheafClass:
-    """sigma iterated w(point) times: +c on gradings, identity on torsion."""
-    _resolve_point(w, point)
-    f = _validate(w, f)
+def _c_shift(w: WplData, f: SheafClass) -> SheafClass:
+    """+c on gradings, identity on torsion."""
     if isinstance(f, LineBundle):
         return LineBundle(lgroup.add(w.weights, f.lam, lgroup.cbar(w.weights)))
     return f
+
+
+def c_twist(w: WplData, point, f: SheafClass) -> SheafClass:
+    """sigma iterated w(point) times: +c on gradings, identity on torsion."""
+    _resolve_point(w, point)
+    return _c_shift(w, _validate(w, f))
 
 
 def top_m(w: WplData, point, lam: LElement, m: int) -> SheafClass:
@@ -357,7 +345,9 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
 
     The perpendicular of a length-m exceptional arc at x_i is the model
     with r_i replaced by r_i - m (the point becomes ordinary when that is
-    1) times A_{m-1}; generator lists follow the tube-level recipe.
+    1) times A_{m-1}.  The generators are the ambient simples of
+    :func:`wpcalc.serial.perp_arc`; the line chain is listed from the
+    top down.
     """
     e = _validate(w, e)
     if not isinstance(e, TorsionW):
@@ -374,12 +364,17 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
         del new_r[e.i - 1]
     else:
         new_r[e.i - 1] = r - m
-    line_gens = tuple(TorsionW(e.i, (e.top - k) % r, 1) for k in range(1, m))
-    tube_gens = tuple(
-        [TorsionW(e.i, e.top, m + 1)]
-        + [TorsionW(e.i, (e.top + a) % r, 1) for a in range(1, r - m)]
+    tube, chain = perp_arc(_tube_arc(w, e)).factors
+
+    def classes(arcs):
+        return tuple(TorsionW(e.i, a.top, a.length) for a in arcs)
+
+    return PerpTorsionResult(
+        Weights(new_r),
+        dropped,
+        classes(reversed(chain.simple_images)),
+        classes(tube.simple_images),
     )
-    return PerpTorsionResult(Weights(new_r), dropped, line_gens, tube_gens)
 
 
 def count_big(w: WplData) -> int:
@@ -425,13 +420,8 @@ def classify_generated(w: WplData, g: Collection) -> Classification:
     if bundles:
         # condition (5) witness: the family is closed under the point-free
         # action of c (grading +c on bundles, identity on torsion)
-        def c_image(f):
-            if isinstance(f, LineBundle):
-                return LineBundle(lgroup.add(w.weights, f.lam, lgroup.cbar(w.weights)))
-            return f
-
-        family = set(map(str, objs))
-        if all(str(c_image(f)) in family for f in objs):
+        family = set(objs)
+        if all(_c_shift(w, f) in family for f in objs):
             return Classification(ClassifyKind.BIG, witnesses=(bundles[0], None))
     if is_vertex_like(w, g):
         return Classification(ClassifyKind.QUIVER_LIKE, quiver=ext_quiver_of(w, g))

@@ -1,4 +1,6 @@
 import json
+import time
+from math import comb
 
 import pytest
 
@@ -191,6 +193,47 @@ class TestCommands:
         assert out.strip() == "30"
         code, _, err = run(capsys, "hom", "--config", str(tmp_path / "nope.json"), "O(0)", "O(0)")
         assert code == 2 and "ParseError" in err
+
+
+class TestLongInputs:
+    @pytest.mark.parametrize(
+        "f, g, expected",
+        [
+            ("O(0)", "S(2,1)[3000000]", "hom=1000000 ext1=0"),
+            ("S(2,1)[3000000]", "O(0)", "hom=0 ext1=1000000"),
+        ],
+    )
+    def test_long_arc_hom(self, capsys, f, g, expected):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hom", "--weights", "2,3", f, g)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert out.strip() == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--weights", "7200"],
+            ["--weights", "3000,3000,3000"],
+            ["--weights", "7200", "--json"],
+            ["--weights", "50000000"],
+        ],
+    )
+    def test_count_big_too_many_digits_exit_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count-big", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        if "--json" in argv:
+            assert json.loads(out)["error"]["code"] == "BoundExceeded"
+        else:
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1 and "BoundExceeded" in err
+
+    def test_count_big_below_digit_limit_is_exact(self, capsys):
+        code, out, _ = run(capsys, "count-big", "--weights", "7100")
+        assert code == 0
+        assert int(out) == comb(14200, 7100) // 2
 
 
 class TestErrors:

@@ -69,6 +69,26 @@ def random_classes(w, rng, count):
     return out
 
 
+def graded_euler_oracle(w, L, t):
+    """Hom(L, t) as the graded Euler sum over t's composition factors.
+
+    The simple S_{i,j} is the cokernel of O((j-1) x_i) -> O(j x_i), so
+    chi(L, S_{i,j}) = chi(L, O(j x_i)) - chi(L, O((j-1) x_i)); at an
+    ordinary point the step is c.  For a torsion t, Ext^1(L, t) = 0, so
+    the sum is dim Hom(L, t).
+    """
+    if isinstance(t, TorsionO):
+        step, tops = lgroup.cbar(w.weights), range(t.length)
+    else:
+        step, tops = lgroup.xbar(w.weights, t.i), range(t.top, t.top - t.length, -1)
+    total = 0
+    for j in tops:
+        upper = LineBundle(lgroup.scale(w.weights, j, step))
+        lower = LineBundle(lgroup.scale(w.weights, j - 1, step))
+        total += euler(w, L, upper) - euler(w, L, lower)
+    return total
+
+
 class TestModel:
     def test_ordinary_label_validation(self):
         with pytest.raises(ParseError):
@@ -213,6 +233,27 @@ class TestEuler:
                     hom_ext(w, L, TorsionW(i, (t - k) % r, 1)).hom for k in range(length)
                 )
                 assert hom_ext(w, L, TorsionW(i, t, length)).hom == total
+
+    def test_hom_into_torsion_matches_graded_euler_oracle(self):
+        # Hom(L, t) and, by Serre duality, Ext^1(t', L) with t = tau t'
+        rng = random.Random(45)
+        for rs in ((2, 3, 5, 4), (2, 2, 2, 2), (3, 3, 3, 3)):
+            w = WplData(Weights(rs), ["y"])
+            for _ in range(150):
+                lam = lgroup.normalize(
+                    w.weights, rng.randint(-3, 3), [rng.randint(-4, 4) for _ in rs]
+                )
+                L = LineBundle(lam)
+                i = rng.randint(0, len(rs))
+                if i:
+                    r = rs[i - 1]
+                    t_prev = TorsionW(i, rng.randrange(r), rng.randint(1, 4 * r))
+                else:
+                    t_prev = TorsionO("y", rng.randint(1, 4))
+                t = tau_sheaf(w, t_prev)
+                expected = graded_euler_oracle(w, L, t)
+                assert hom_ext(w, L, t).hom == expected
+                assert hom_ext(w, t_prev, L).ext1 == expected
 
     def test_twist_step_class_identity(self):
         # [O(lam)] - [O(lam - c)] = [top_m(x_i, lam, r_i)] under the pairing,
@@ -416,6 +457,20 @@ class TestPerpTorsion:
     def test_tube_generators_match_serial_recipe(self):
         res = perp_exceptional_torsion(W3333, TorsionW(1, 0, 1))
         assert [str(g) for g in res.tube_generators] == ["S(1,0)[2]", "S(1,1)"]
+
+    def test_generators_match_tube_recipe_oracle(self):
+        # the generator formulas written out per composition factor
+        for r in range(2, 8):
+            w = WplData(Weights([r]))
+            for top in range(r):
+                for m in range(1, r):
+                    res = perp_exceptional_torsion(w, TorsionW(1, top, m))
+                    line = [TorsionW(1, (top - k) % r, 1) for k in range(1, m)]
+                    tube = [TorsionW(1, top, m + 1)] + [
+                        TorsionW(1, (top + a) % r, 1) for a in range(1, r - m)
+                    ]
+                    assert list(res.line_generators) == line
+                    assert list(res.tube_generators) == tube
 
     def test_rejects_sphere_like(self):
         with pytest.raises(NotExceptionalTorsion):
