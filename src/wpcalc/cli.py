@@ -4,7 +4,9 @@ One subcommand per engine capability; ``--json`` switches every command
 to a single JSON document on stdout.  Exit codes: 0 success, 2 input
 error (bad flags, unparseable literals, out-of-range requests), 1
 internal invariant violation.  Text-mode errors are one-line messages,
-never tracebacks.
+never tracebacks.  A command whose output grows linearly with a rank or
+weight refuses, before building anything, an output of more than
+``MAX_OUTPUT_OBJECTS`` objects.
 """
 
 import argparse
@@ -15,6 +17,8 @@ from math import lgamma, log, log10
 from . import lgroup, serial, wpl
 from .errors import BoundExceeded, InputError, InternalError, ParseError
 from .quiver import Quiver, quiver_to_json_dict, quiver_to_text
+
+MAX_OUTPUT_OBJECTS = 10**5
 
 
 def _weights_arg(text: str):
@@ -28,10 +32,12 @@ def _weights_arg(text: str):
 
 def _read_config(path: str):
     """(weights, ordinary labels) of a JSON weight config file."""
+    # ValueError covers bad JSON, bad UTF-8 and integers past the digit
+    # limit; RecursionError, arrays nested too deeply
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read weight config {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"weight config {path!r} is not a JSON object")
@@ -66,6 +72,12 @@ def _add_model_flags(p):
         help='JSON weight config {"weights": [...], "ordinary": [...]}; '
         "explicit flags win",
     )
+
+
+def _bound_output(count: int):
+    """Refuse an output that would list more than MAX_OUTPUT_OBJECTS objects."""
+    if count > MAX_OUTPUT_OBJECTS:
+        raise BoundExceeded(f"the output would list more than {MAX_OUTPUT_OBJECTS} objects")
 
 
 def _emit(args, payload: dict, text: str):
@@ -145,6 +157,7 @@ def _factor_payload(emb: serial.Embedding) -> list:
 def _cmd_perp(args):
     if args.target.lstrip().startswith(("U(", "A(")):
         arc = serial.parse_arc(args.target)
+        _bound_output(arc.cat.rank - 1)  # the factors' simples
         emb = serial.perp_arc(arc)
         factors = _factor_payload(emb)
         text = " x ".join(
@@ -155,6 +168,8 @@ def _cmd_perp(args):
         return
     w = _model(args)
     e = wpl.parse_sheaf(w, args.target)
+    if isinstance(e, wpl.TorsionW):
+        _bound_output(w.weight_of(e.i) - 1)  # line and tube generators
     res = wpl.perp_exceptional_torsion(w, e)
     payload = {
         "new_weights": list(res.new_weights.r),
@@ -213,10 +228,14 @@ def _cmd_count_big(args):
     """
     w = _model(args)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    # log10 of each factor C(2r, r) / 2; the float error is far below the margin of 1
-    digits = sum(
-        (lgamma(2 * r + 1) - 2 * lgamma(r + 1)) / log(10) - log10(2) for r in w.weights.r
-    )
+    try:
+        # log10 of each factor C(2r, r) / 2; the float error is far below the margin of 1
+        digits = sum(
+            (lgamma(2 * r + 1) - 2 * lgamma(r + 1)) / log(10) - log10(2)
+            for r in w.weights.r
+        )
+    except OverflowError:  # a weight past the float range, or its lgamma
+        raise BoundExceeded("count-big weight is past the float range") from None
     if not limit or digits <= limit + 1:
         n = wpl.count_big(w)
         if not limit or n < 10**limit:
@@ -241,6 +260,7 @@ def _cmd_classify(args):
 
 def _cmd_canonical(args):
     w = _model(args)
+    _bound_output(2 + sum(r - 1 for r in w.weights.r))
     coll = wpl.canonical_collection(w)
     _emit(args, {"objects": list(coll.labels())}, " ".join(coll.labels()))
 
@@ -248,6 +268,7 @@ def _cmd_canonical(args):
 def _cmd_star(args):
     w = _model(args)
     tops = _weights_arg(args.tops) if args.tops else [0] * w.weights.p
+    _bound_output(2 + 2 * sum(max(b, 0) for b in tops))  # bundles and dual family
     bundles, dual = wpl.star_collection(w, tops)
     payload = {"line_bundles": list(bundles.labels()), "dual_family": list(dual.labels())}
     _emit(

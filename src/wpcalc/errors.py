@@ -6,6 +6,9 @@ requests) all derive from ``InputError`` and map to CLI exit code 2.
 and map to exit code 1; they should never fire on valid inputs.
 """
 
+import re
+import sys
+
 
 class WpcError(Exception):
     """Base class for all package errors."""
@@ -77,3 +80,15 @@ class NotVertexLike(InputError):
 
 class NotExceptionalTorsion(InputError):
     pass
+
+
+def check_digit_runs(text: str):
+    """Refuse a literal with a digit run near the int/str conversion limit.
+
+    A run of ``limit - 1`` digits or more raises ParseError (a limit of 0
+    means none), so a number built from parsed ones by a few additions
+    still converts back to text.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and re.search(r"\d{%d}" % (limit - 1), text):
+        raise ParseError(f"literal has a run of {limit - 1} or more digits")

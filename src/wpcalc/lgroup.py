@@ -10,7 +10,7 @@ weight tuple is allowed (L = Z*c, ordinary projective line).
 import re
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, ParseError, WeightMismatch
+from .errors import LengthMismatch, ParseError, WeightMismatch, check_digit_runs
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ def parse_element(w: Weights, text: str) -> LElement:
     A bare integer term contributes to the c coefficient, so ``0`` is the
     zero element and ``3`` means 3c.
     """
+    check_digit_runs(text)
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty grading-group element")

@@ -20,7 +20,11 @@ the explicit embedding of the perpendicular's factors.  Signatures (the
 member arcs of length <= rank) are computed by double orthogonality,
 which is valid because every thick subcategory here is admissible.
 Each category keeps a bitset index of those arcs, with Hom/Ext-orthogonal
-and subarc masks as Python ints, so a closure is a few mask ANDs.
+and subarc masks as Python ints, so a closure is a few mask ANDs.  Bit
+order is ``Arc`` order, so a mask lists its arcs sorted.  The recursion
+stays on bits: each perpendicular factor arc is lifted once to the right
+mask of its ambient image, and a factor signature's ambient right
+orthogonal is the AND of its members' lifted masks.
 """
 
 import re
@@ -37,6 +41,7 @@ from .errors import (
     InvalidArc,
     NoTranslationForLine,
     ParseError,
+    check_digit_runs,
 )
 from .quiver import Quiver
 
@@ -277,9 +282,6 @@ class Embedding:
     ambient: SerialCat
     factors: tuple  # of EmbeddedFactor
 
-    def mapped_simples(self):
-        return [img for f in self.factors for img in f.simple_images]
-
 
 def perp_arc(e: Arc) -> Embedding:
     """Right perpendicular of an indecomposable, with explicit generators.
@@ -330,23 +332,22 @@ def perp_arc(e: Arc) -> Embedding:
 
 @dataclass(frozen=True)
 class ThickDesc:
-    """A thick subcategory: member signature, factor shape, generators.
+    """A thick subcategory: member signature, factors, generators.
 
     ``signature`` lists the member arcs of length <= rank (sorted); it
     determines the subcategory.  ``embedding`` organizes the relative
-    simples into at most one cycle factor plus line factors.
+    simples into at most one cycle factor (first) plus line factors.
     ``left_orthogonal`` generates the left perpendicular and drives the
     membership test.
     """
 
     cat: SerialCat
     signature: tuple  # of Arc, sorted
-    shape: tuple  # of SerialCat, cycle factor first
     embedding: Embedding
     left_orthogonal: tuple  # of Arc
 
     def relative_simples(self):
-        return self.embedding.mapped_simples()
+        return [img for f in self.embedding.factors for img in f.simple_images]
 
 
 def all_arcs(cat: SerialCat, max_length=None):
@@ -374,19 +375,28 @@ def _zero_bits(pairs) -> int:
     return sum(1 << k for k, he in enumerate(pairs) if he == (0, 0))
 
 
+def _bits(mask: int):
+    """Positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _ArcIndex:
     """Bitset view of the arcs of length <= rank of one category.
 
-    Bit k stands for ``arcs[k]`` (``all_arcs`` order).  ``sub[k]`` masks
-    the proper subarcs of arc k.  The right mask of arc k holds the arcs y
-    with Hom(arc k, y) = Ext^1(arc k, y) = 0, the left mask those with
-    Hom(y, arc k) = Ext^1(y, arc k) = 0; each is filled from ``dims`` the
-    first time it is asked for.
+    Bit k stands for ``arcs[k]``; bit order is ``Arc`` order, so ascending
+    bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k.
+    The right mask of arc k holds the arcs y with Hom(arc k, y) =
+    Ext^1(arc k, y) = 0, the left mask those with Hom(y, arc k) =
+    Ext^1(y, arc k) = 0; each is filled from ``dims`` the first time it is
+    asked for.
     """
 
     def __init__(self, cat: SerialCat):
         self.cat = cat
-        self.arcs = all_arcs(cat)
+        self.arcs = sorted(all_arcs(cat))
         self.bit = {a: k for k, a in enumerate(self.arcs)}
         self.full = (1 << len(self.arcs)) - 1
         self.sub = [sum(1 << self.bit[s] for s in _proper_subarcs(a)) for a in self.arcs]
@@ -394,12 +404,10 @@ class _ArcIndex:
         self._left = [None] * len(self.arcs)
         self.signatures = None  # frozenset of masks, once enumerated
 
-    def right(self, g: Arc) -> int:
-        """Mask of the arcs right-orthogonal to g (any length)."""
-        k = self.bit.get(g)
-        if k is None:
-            return _zero_bits(dims(g, y) for y in self.arcs)
+    def right(self, k: int) -> int:
+        """Mask of the arcs right-orthogonal to arc k."""
         if self._right[k] is None:
+            g = self.arcs[k]
             self._right[k] = _zero_bits(dims(g, y) for y in self.arcs)
         return self._right[k]
 
@@ -413,15 +421,7 @@ class _ArcIndex:
     def minimal(self, mask: int) -> list:
         """Bits of the members with no proper member subarc: the relative simples."""
         sub = self.sub
-        out = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            if not sub[k] & mask:
-                out.append(k)
-            rest ^= low
-        return out
+        return [k for k in _bits(mask) if not sub[k] & mask]
 
     def left_of(self, bits) -> int:
         mask = self.full
@@ -438,9 +438,9 @@ class _ArcIndex:
         """
         return self.left_of(self.minimal(right))
 
-    def members(self, mask: int) -> tuple:
-        """The arcs of a mask, sorted."""
-        return tuple(sorted(a for k, a in enumerate(self.arcs) if mask >> k & 1))
+    def members(self, bits) -> tuple:
+        """The arcs at the given bits."""
+        return tuple(self.arcs[k] for k in bits)
 
 
 @lru_cache(maxsize=32)
@@ -449,80 +449,50 @@ def _index(cat: SerialCat) -> _ArcIndex:
 
 
 def _block_structure(cat: SerialCat, rel) -> Embedding:
-    """Organize relative simples into cycle/line factors by adjacency.
+    """Organize relative simples (sorted) into cycle/line factors by adjacency.
 
     Block A sits directly below block B when A's top is one step below
-    B's socle.  Within an orthogonal family tops are distinct, so the
-    below/above maps are partial bijections; their orbits are one tiling
-    cycle (at most) and disjoint chains.
+    B's socle.  Within an orthogonal family tops are distinct, so
+    ``below`` is a partial injection: the walks down from the blocks with
+    nothing above are the chains, and the blocks left over tile one cycle.
     """
     n = cat.rank
     by_top = {a.top: a for a in rel}
     assert len(by_top) == len(rel), "relative simples must have distinct tops"
-
-    def below(a):
-        if cat.kind == "cycle":
-            return by_top.get((a.top - a.length) % n)
-        return by_top.get(a.top - a.length)
-
-    above = {}
+    below = {}
     for a in rel:
-        b = below(a)
+        b = by_top.get((a.top - a.length) % n if cat.kind == "cycle" else a.top - a.length)
         if b is not None:
-            assert b not in above, "two blocks directly above one block"
-            above[b] = a
+            below[a] = b
+    has_above = set(below.values())
+    assert len(has_above) == len(below), "two blocks directly above one block"
 
-    unassigned = set(rel)
-    cycle_factor = None
     chains = []
-    for start in sorted(rel):
-        if start not in unassigned:
-            continue
-        # walk down from start; either we loop back (cycle) or hit a bottom
-        walk = [start]
-        seen = {start}
-        current = start
-        looped = False
-        while True:
-            nxt = below(current)
-            if nxt is None:
-                break
-            if nxt in seen:
-                looped = True
-                break
-            walk.append(nxt)
-            seen.add(nxt)
-            current = nxt
-        if looped:
-            assert cycle_factor is None, "two cycle factors cannot coexist"
-            # walk is B_a, B_{a-1}, ...; reverse so images[k-1] is below images[k]
-            images = tuple(reversed(walk))
-            cycle_factor = EmbeddedFactor(cycle(len(images)), images)
-            unassigned -= seen
-        else:
-            # extend upward to the true chain top, then record bottom-to-top
-            top_end = start
-            while top_end in above:
-                top_end = above[top_end]
-                walk.insert(0, top_end)
-            chain = tuple(reversed(walk))
-            chains.append(EmbeddedFactor(line(len(chain)), chain))
-            unassigned -= set(walk)
+    for walk in ([a] for a in rel if a not in has_above):
+        while walk[-1] in below:
+            walk.append(below[walk[-1]])
+        chains.append(EmbeddedFactor(line(len(walk)), tuple(reversed(walk))))
     chains.sort(key=lambda f: (-f.cat.rank, f.simple_images))
-    factors = ([cycle_factor] if cycle_factor else []) + chains
-    return Embedding(cat, tuple(factors))
+    in_chains = {a for f in chains for a in f.simple_images}
+    rest = [a for a in rel if a not in in_chains]
+    if not rest:
+        return Embedding(cat, tuple(chains))
+    walk = [min(rest)]
+    while below[walk[-1]] != walk[0]:
+        walk.append(below[walk[-1]])
+    assert len(walk) == len(rest), "two cycle factors cannot coexist"
+    # walk is B_a, B_{a-1}, ...; reverse so images[k-1] is below images[k]
+    images = tuple(reversed(walk))
+    return Embedding(cat, (EmbeddedFactor(cycle(len(images)), images), *chains))
 
 
 def _build_desc(idx: _ArcIndex, sig: int) -> ThickDesc:
     rel_bits = idx.minimal(sig)
-    embedding = _block_structure(idx.cat, sorted(idx.arcs[k] for k in rel_bits))
-    left = sorted(idx.arcs[k] for k in idx.minimal(idx.left_of(rel_bits)))
     return ThickDesc(
         cat=idx.cat,
-        signature=idx.members(sig),
-        shape=tuple(f.cat for f in embedding.factors),
-        embedding=embedding,
-        left_orthogonal=tuple(left),
+        signature=idx.members(_bits(sig)),
+        embedding=_block_structure(idx.cat, idx.members(rel_bits)),
+        left_orthogonal=idx.members(idx.minimal(idx.left_of(rel_bits))),
     )
 
 
@@ -533,7 +503,9 @@ def thick_closure(cat: SerialCat, gens) -> ThickDesc:
     for g in gens:
         if g.cat != cat:
             raise CategoryMismatch(f"generator {g} is not in {cat}")
-        right &= idx.right(g)
+        k = idx.bit.get(g)
+        # an arc longer than the rank has no bit: its mask is not cached
+        right &= idx.right(k) if k is not None else _zero_bits(dims(g, y) for y in idx.arcs)
     return _build_desc(idx, idx.closure(right))
 
 
@@ -541,22 +513,25 @@ def _enumerate_signatures(idx: _ArcIndex) -> frozenset:
     """All thick-subcategory signatures, via the perpendicular recursion.
 
     The right orthogonal of the subcategory generated by e and the
-    translated relative simples of one thick subcategory per perpendicular
-    factor is the AND of their right masks.
+    embedded members of one thick subcategory per perpendicular factor is
+    the AND of their right masks.  Members and relative simples have the
+    same right orthogonal, and an embedded factor arc of length <= the
+    factor rank has length <= the ambient rank, so every factor bit lifts
+    to the right mask of an ambient bit.
     """
     if idx.signatures is not None:
         return idx.signatures
     out = {0}
-    for e in idx.arcs:
-        emb = perp_arc(e)
-        rights = {idx.right(e)}
-        for f in emb.factors:
+    for k, e in enumerate(idx.arcs):
+        rights = {idx.right(k)}
+        for f in perp_arc(e).factors:
             fidx = _index(f.cat)
+            lifted = [idx.right(idx.bit[f.embed(a)]) for a in fidx.arcs]
             factor_rights = set()
             for sig in _enumerate_signatures(fidx):
                 mask = idx.full
-                for k in fidx.minimal(sig):
-                    mask &= idx.right(f.embed(fidx.arcs[k]))
+                for j in _bits(sig):
+                    mask &= lifted[j]
                 factor_rights.add(mask)
             rights = {r & fr for r in rights for fr in factor_rights}
         out.update(idx.closure(r) for r in rights)
@@ -583,14 +558,15 @@ def enumerate_thick(cat: SerialCat):
     if cat.kind == "line" and cat.rank > MAX_LINE_RANK:
         raise BoundExceeded(f"line enumeration capped at rank {MAX_LINE_RANK}")
     idx = _index(cat)
-    sigs = sorted(_enumerate_signatures(idx), key=lambda s: (s.bit_count(), idx.members(s)))
-    return [_build_desc(idx, sig) for sig in sigs]
+    descs = [_build_desc(idx, sig) for sig in _enumerate_signatures(idx)]
+    return sorted(descs, key=lambda t: (len(t.signature), t.signature))
 
 
 def shape_of_thick(t: ThickDesc):
     """(has cycle factor, line factor lengths in sorted order)."""
-    has_cycle = any(f.kind == "cycle" for f in t.shape)
-    lengths = sorted(f.rank for f in t.shape if f.kind == "line" and f.rank > 0)
+    cats = [f.cat for f in t.embedding.factors]
+    has_cycle = any(f.kind == "cycle" for f in cats)
+    lengths = sorted(f.rank for f in cats if f.kind == "line" and f.rank > 0)
     return has_cycle, lengths
 
 
@@ -599,6 +575,7 @@ def shape_of_thick(t: ThickDesc):
 
 def parse_arc(text: str) -> Arc:
     """Parse ``U(n):arc(top,len)`` or ``A(n):arc(i,j)`` literals."""
+    check_digit_runs(text)
     m = re.fullmatch(r"\s*([UA])\((\d+)\):arc\((-?\d+),(-?\d+)\)\s*", text)
     if not m:
         raise ParseError(f"bad arc literal {text!r}")

@@ -38,6 +38,7 @@ from .errors import (
     NotVertexLike,
     ParseError,
     UnknownPoint,
+    check_digit_runs,
 )
 from .lgroup import LElement, Weights
 from .quiver import ExtMatrix, Quiver, ext_quiver
@@ -203,6 +204,7 @@ def _resolve_point(w: WplData, point):
         if not 1 <= point <= w.weights.p:
             raise UnknownPoint(f"no weighted point x{point}")
         return ("w", point)
+    check_digit_runs(str(point))
     m = re.fullmatch(r"x(\d+)", str(point))
     if m:
         i = int(m.group(1))
@@ -477,6 +479,7 @@ _SHEAF_T = re.compile(r"T\(([^)]+)\)(?:\[(\d+)\])?\s*")
 
 def parse_sheaf(w: WplData, text: str) -> SheafClass:
     """Parse ``O(<element>)``, ``S(i,j)``, ``S(i,j)[l]``, ``T(y)[l]`` literals."""
+    check_digit_runs(text)
     s = text.strip()
     m = _SHEAF_O.fullmatch(s)
     if m:

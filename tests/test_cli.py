@@ -1,10 +1,19 @@
+import io
 import json
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wpcalc.cli import main
+from wpcalc.cli import MAX_OUTPUT_OBJECTS, main
+
+ONES = "1" * 5000  # past the default int/str conversion limit of 4300 digits
+NINES = "9" * 4300  # convertible, but one addition away from the limit
 
 
 def run(capsys, *argv):
@@ -235,6 +244,71 @@ class TestLongInputs:
         assert code == 0
         assert int(out) == comb(14200, 7100) // 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "--weights", "2,3", "O(0)", f"S(2,1)[{ONES}]"],
+            ["hom", "--weights", "2,3", f"O({ONES}c)", "O(0)"],
+            ["hom", "--weights", "2,3", f"O({ONES}c)", "O(0)", "--json"],
+            ["perp", f"U({ONES}):arc(0,1)"],
+            ["perp", "--weights", "2,3", f"S({ONES},1)"],
+            ["twist", "sigma", f"x{ONES}", "O(0)", "--weights", "2"],
+            ["hom", "--config", "{config}", "O(0)", "O(0)"],
+            ["hom", "--weights", "2", "O(0)", f"O({NINES}c)"],
+            ["tau", "--weights", "2", f"O(-{NINES}c)"],
+            ["twist", "c", "x1", f"O({NINES}c)", "--weights", "2"],
+            ["count-big", "--weights", "9" * 400],
+            ["count-big", "--weights", "9" * 400, "--json"],
+        ],
+    )
+    def test_integer_past_digit_limit_exit_2(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "model.json"
+        cfg.write_text('{"weights": [%s]}' % ONES)
+        code, out, err = run(capsys, *(str(cfg) if a == "{config}" else a for a in argv))
+        assert code == 2
+        if "--json" in argv:
+            assert json.loads(out)["error"]["code"] in ("ParseError", "BoundExceeded")
+        else:
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert "ParseError" in err or "BoundExceeded" in err
+
+
+class TestOutputBound:
+    """Commands whose output is linear in a rank or weight stop at MAX_OUTPUT_OBJECTS."""
+
+    @pytest.mark.parametrize(
+        "at_bound, above",
+        [
+            (["perp", "U(100001):arc(0,1)"], ["perp", "U(100002):arc(0,1)"]),
+            (["perp", "A(100001):arc(2,3)"], ["perp", "A(100002):arc(2,3)"]),
+            (
+                ["perp", "--weights", "100001", "S(1,0)"],
+                ["perp", "--weights", "100002", "S(1,0)"],
+            ),
+            (["canonical", "--weights", "99999"], ["canonical", "--weights", "100000"]),
+            (
+                ["star", "--weights", "50000", "--tops", "49999"],
+                ["star", "--weights", "50001", "--tops", "50000"],
+            ),
+        ],
+        ids=["perp-tube", "perp-line", "perp-sheaf", "canonical", "star"],
+    )
+    def test_at_and_just_above_the_bound(self, capsys, at_bound, above):
+        code, out, _ = run(capsys, *at_bound, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        objects = [a for f in doc.get("factors", []) for a in f["simples"]]
+        for key in ("line_factor", "tube_factor", "objects", "line_bundles", "dual_family"):
+            objects += doc.get(key, [])
+        assert len(objects) == MAX_OUTPUT_OBJECTS
+        start = time.perf_counter()
+        code, out, err = run(capsys, *above)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "BoundExceeded" in err
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -270,3 +344,107 @@ class TestErrors:
         code, out, err = run(capsys, "hom", "--weights", "2", "O(xx)", "O(0)")
         assert code == 2
         assert "Traceback" not in err and "Traceback" not in out
+
+
+# -- fuzzing the cli.main boundary ----------------------------------------------
+
+_NUMBER = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from([300, 4298, 4299, 4300, 5000]).flatmap(
+        lambda k: st.sampled_from(["1" * k, "9" * k])
+    ),
+    st.sampled_from(["", "-", "007", "1.5", "1e3", "٣", "10000000"]),
+)
+_FRAGMENT = st.sampled_from(
+    ["", " ", "(", ")", "[", "]", ",", "O(", "S(1", "xx", "c+", "+-", "x", "\x00", "é"]
+)
+_TERM = st.builds(
+    lambda sign, coef, gen: sign + coef + gen,
+    st.sampled_from(["", "+", "-"]),
+    _NUMBER,
+    st.sampled_from(["", "c", "x1", "x2", "*c"]) | _NUMBER.map(lambda n: "x" + n),
+)
+_ELEMENT = st.lists(_TERM, max_size=3).map("".join) | _FRAGMENT
+_SHEAF = st.one_of(
+    _ELEMENT.map(lambda e: f"O({e})"),
+    st.builds(lambda i, j: f"S({i},{j})", _NUMBER, _NUMBER),
+    st.builds(lambda i, j, n: f"S({i},{j})[{n}]", _NUMBER, _NUMBER, _NUMBER),
+    st.builds(lambda y, n: f"T({y})[{n}]", st.sampled_from(["y", "z", "x1", ""]), _NUMBER),
+    _FRAGMENT,
+)
+_ARC = st.builds(
+    lambda kind, n, a, b: f"{kind}({n}):arc({a},{b})",
+    st.sampled_from(["U", "A", "B"]),
+    _NUMBER,
+    _NUMBER,
+    _NUMBER,
+)
+_POINT = st.sampled_from(["x1", "x2", "x0", "y", "z", ""]) | _NUMBER.map(lambda n: "x" + n)
+_JSON_NUMBER = st.sampled_from(
+    ["2", "3", "0", "-1", "2.0", "1e400", "NaN", "true", '"2"', "1" * 5000, "9" * 300, "10000000"]
+)
+_CONFIG = st.one_of(
+    st.builds(
+        lambda ws, ys: '{"weights": [%s], "ordinary": [%s]}' % (",".join(ws), ",".join(ys)),
+        st.lists(_JSON_NUMBER, max_size=3),
+        st.lists(st.sampled_from(['"y"', '"x1"', '""', '"3"', "1", "[]"]), max_size=2),
+    ),
+    st.sampled_from(["", "{", "[]", "null", '{"weights": "2"}', "[" * 100000, "\udcff"]),
+)
+_POSITIONALS = {
+    "hom": st.lists(_SHEAF, min_size=2, max_size=2),
+    "euler": st.lists(_SHEAF, min_size=2, max_size=2),
+    "tau": st.lists(_SHEAF, min_size=1, max_size=1),
+    "twist": st.tuples(st.sampled_from(["sigma", "c", "rho"]), _POINT, _SHEAF).map(list),
+    "top": st.tuples(_POINT, _ELEMENT, _NUMBER).map(list),
+    "extquiver": st.lists(_SHEAF, min_size=1, max_size=3),
+    "check": st.tuples(st.sampled_from(["exceptional", "vertexlike"]), _SHEAF).map(list),
+    "perp": st.lists(_ARC | _SHEAF, min_size=1, max_size=1),
+    "tube": st.tuples(st.just("enumerate"), st.integers(-1, 7).map(str) | _NUMBER).map(list),
+    "line": st.tuples(st.just("enumerate"), st.integers(-1, 7).map(str) | _NUMBER).map(list),
+    "count-big": st.just([]),
+    "classify": st.lists(_SHEAF, min_size=1, max_size=3),
+    "canonical": st.just([]),
+    "star": st.lists(_NUMBER.map(lambda n: "--tops=" + n), max_size=1),
+}
+_MODEL_FREE = ("tube", "line")
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, config text or None): a subcommand with drawn flags and literals."""
+    command = draw(st.sampled_from(sorted(_POSITIONALS)))
+    argv = [command] + draw(_POSITIONALS[command])
+    if command not in _MODEL_FREE:
+        if draw(st.booleans()):
+            argv.append("--weights=" + ",".join(draw(st.lists(_NUMBER, max_size=4))))
+        if draw(st.booleans()):
+            argv.append("--ordinary=" + draw(st.sampled_from(["y", "y,z", "x1", "y,y", "3", ""])))
+    if command in _MODEL_FREE and draw(st.booleans()):
+        argv.append("--count")
+    if draw(st.booleans()):
+        argv.append("--json")
+    config = draw(st.none() | _CONFIG) if command not in _MODEL_FREE else None
+    return argv, config
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=2000, derandomize=True)
+    @given(_invocations())
+    def test_main_exits_0_or_2_without_traceback(self, invocation):
+        argv, config = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if config is not None:
+                path = Path(tmp) / "model.json"
+                path.write_bytes(config.encode("utf-8", "surrogateescape"))
+                argv = argv + ["--config", str(path)]
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the flags
+                    code = exc.code
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2 and "--json" not in argv:
+            assert out.getvalue() == ""

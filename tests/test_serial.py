@@ -199,6 +199,30 @@ class TestPerpArc:
                             assert dims(x, y).hom == 0
                 assert same_multigraph(q, expected_factor_quiver(emb))
 
+    def test_closure_of_perp_simples_recovers_perp(self):
+        # the explicit recipe against the engine: the thick closure of the
+        # perpendicular's simples has the same factors (up to order, rank-0
+        # factors dropped) and is exactly the right orthogonal of e
+        def factors(embedding):
+            return {
+                (f.cat, frozenset(f.simple_images)) for f in embedding.factors if f.cat.rank > 0
+            }
+
+        cats = [cycle(n) for n in range(1, 7)] + [line(n) for n in range(1, 9)]
+        checked = 0
+        for cat in cats:
+            for e in all_arcs(cat):
+                emb = perp_arc(e)
+                t = thick_closure(cat, [a for f in emb.factors for a in f.simple_images])
+                assert factors(t.embedding) == factors(emb)
+                for f in t.embedding.factors:
+                    if f.cat.kind == "cycle":  # canonical rotation: smallest block last
+                        assert f.simple_images[-1] == min(f.simple_images)
+                right = {y for y in all_arcs(cat) if dims(e, y) == (0, 0)}
+                assert set(t.signature) == right
+                checked += 1
+        assert checked == 211
+
     def test_embed_concatenates(self):
         emb = perp_arc(Arc(cycle(3), 0, 1))
         tube = emb.factors[0]
@@ -468,7 +492,7 @@ class TestShapes:
     def test_at_most_one_cycle_factor(self):
         for n in (1, 2, 3, 4):
             for t in enumerate_thick(cycle(n)):
-                assert sum(1 for f in t.shape if f.kind == "cycle") <= 1
+                assert sum(1 for f in t.embedding.factors if f.cat.kind == "cycle") <= 1
 
     def test_perp_of_sphere_is_line_shaped(self):
         # inside the tube, the right orthogonal of a sphere-like arc is
