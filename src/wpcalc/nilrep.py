@@ -13,9 +13,13 @@ are nilpotent: the nilpotent finite-dimensional modules form a Serre
 subcategory of all modules, which is hereditary, so the Euler pairing on
 classes of simples determines the full pairing and Ext^2 vanishes.
 Nilpotency is enforced when a Rep is constructed.
+
+Entries are exact rationals held as ``int`` wherever they are integral
+(:func:`wpcalc.linalg.exact`), so the matrices built from arcs are int
+matrices end to end and no ``Fraction`` arithmetic runs on them.
 """
 
-from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import NonNegativityViolation, QuiverMismatch, UnknownVertex
@@ -27,7 +31,8 @@ class Rep:
 
     ``mats[k]`` belongs to ``quiver.arrows[k] = (u, v)`` and has shape
     ``(dims[u], dims[v])`` (right action, fiber at v -> fiber at u).
-    Values are treated as immutable after construction.
+    Entries are normalized once, to ints where integral; values are
+    treated as immutable after construction.
     """
 
     def __init__(self, quiver: Quiver, dims, mats, check_nilpotent=True):
@@ -53,7 +58,7 @@ class Rep:
                 continue
             if len(m) != nrows or any(len(r) != ncols for r in m):
                 raise ValueError(f"matrix for arrow ({u!r},{v!r}) must be {nrows}x{ncols}")
-            self.mats.append(linalg.as_fraction_matrix(m, nrows, ncols))
+            self.mats.append(linalg.exact_matrix(m, nrows, ncols))
         if check_nilpotent and not self._is_nilpotent():
             raise ValueError("representation is not nilpotent")
 
@@ -76,16 +81,24 @@ class Rep:
         return big
 
     def _is_nilpotent(self) -> bool:
+        """T^n = 0 for the total action T on the n-dimensional total space.
+
+        The check runs on d·T, with d the lcm of T's denominators, which
+        is nilpotent exactly when T is; squaring reaches an exponent
+        >= n in about log2(n) products.
+        """
         n = self.total_dim()
-        if n == 0:
-            return True
         t = self._total_action()
-        power = t
-        for _ in range(n):
-            if linalg.is_zero_matrix(power):
-                return True
-            power = linalg.mat_mul(power, t)
-        return linalg.is_zero_matrix(power)
+        d = lcm(*[x.denominator for row in t for x in row])
+        if d > 1:
+            t = [[x.numerator * (d // x.denominator) for x in row] for row in t]
+        exponent = 1
+        while not linalg.is_zero_matrix(t):
+            if exponent >= n:
+                return False
+            t = linalg.mat_mul(t, t)
+            exponent *= 2
+        return True
 
 
 def zero_rep(q: Quiver) -> Rep:
@@ -100,7 +113,7 @@ def simple_rep(q: Quiver, v) -> Rep:
     mats = []
     for (u, w) in q.arrows:
         if dims[u] and dims[w]:
-            mats.append([[Fraction(0)]])
+            mats.append([[0]])
         else:
             mats.append([])
     return Rep(q, dims, mats, check_nilpotent=False)
@@ -158,7 +171,7 @@ def hom_dim(m: Rep, n: Rep) -> int:
         # equation block: (n.dims[u] x m.dims[v]) entries
         for r in range(n.dims[u]):
             for c in range(m.dims[v]):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 # (phi_u . am)[r][c] = sum_s phi_u[r][s] am[s][c]
                 for s in range(m.dims[u]):
                     coef = am[s][c]
@@ -183,8 +196,9 @@ def euler_form(q: Quiver, d, e) -> int:
     """
     dd = dict(d)
     ee = dict(e)
+    vertices = set(q.vertices)
     for key in list(dd) + list(ee):
-        if key not in set(q.vertices):
+        if key not in vertices:
             raise QuiverMismatch(f"dimension vector mentions unknown vertex {key!r}")
     total = sum(dd.get(v, 0) * ee.get(v, 0) for v in q.vertices)
     for (u, v) in q.arrows:

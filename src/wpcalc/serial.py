@@ -30,11 +30,9 @@ orthogonal is the AND of its members' lifted masks.
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import nilrep
 from .errors import (
     BoundExceeded,
     CategoryMismatch,
@@ -215,13 +213,17 @@ def line_quiver(n: int) -> Quiver:
     return Quiver(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
 
 
-def realize(a: Arc) -> nilrep.Rep:
-    """The arc as a concrete nilpotent representation (shift matrices).
+def realize(a: Arc):
+    """The arc as a concrete nilpotent :class:`wpcalc.nilrep.Rep` (0/1 shift matrices).
 
     Basis vector e_k (k = 0..length-1) sits at vertex top-k; the total
     action sends e_k to e_{k+1}.  The matrix of arrow (u, u+1) maps the
     fiber at u+1 into the fiber at u, per the right-module convention.
+    The matrix oracle is imported here, so the closed-form engine and the
+    CLI do not load it.
     """
+    from . import nilrep
+
     if a.cat.kind == "cycle":
         n = a.cat.rank
         q = cycle_quiver(n)
@@ -239,10 +241,10 @@ def realize(a: Arc) -> nilrep.Rep:
         if dims[u] == 0 or dims[v] == 0:
             mats.append([])
             continue
-        m = [[Fraction(0)] * dims[v] for _ in range(dims[u])]
+        m = [[0] * dims[v] for _ in range(dims[u])]
         for col, k in enumerate(fiber[v]):
             if k + 1 < a.length and vertex_of[k + 1] == u:
-                m[fiber[u].index(k + 1)][col] = Fraction(1)
+                m[fiber[u].index(k + 1)][col] = 1
         mats.append(m)
     return nilrep.Rep(q, dims, mats)
 
@@ -517,11 +519,12 @@ def _enumerate_signatures(idx: _ArcIndex) -> frozenset:
     the AND of their right masks.  Members and relative simples have the
     same right orthogonal, and an embedded factor arc of length <= the
     factor rank has length <= the ambient rank, so every factor bit lifts
-    to the right mask of an ambient bit.
+    to the right mask of an ambient bit.  The same right masks recur
+    across the arcs e, so they are gathered first and each is closed once.
     """
     if idx.signatures is not None:
         return idx.signatures
-    out = {0}
+    all_rights = set()
     for k, e in enumerate(idx.arcs):
         rights = {idx.right(k)}
         for f in perp_arc(e).factors:
@@ -534,8 +537,8 @@ def _enumerate_signatures(idx: _ArcIndex) -> frozenset:
                     mask &= lifted[j]
                 factor_rights.add(mask)
             rights = {r & fr for r in rights for fr in factor_rights}
-        out.update(idx.closure(r) for r in rights)
-    idx.signatures = frozenset(out)
+        all_rights |= rights
+    idx.signatures = frozenset({0, *map(idx.closure, all_rights)})
     return idx.signatures
 
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wpcalc
 from wpcalc.cli import MAX_OUTPUT_OBJECTS, main
 
 ONES = "1" * 5000  # past the default int/str conversion limit of 4300 digits
@@ -202,6 +206,26 @@ class TestCommands:
         assert out.strip() == "30"
         code, _, err = run(capsys, "hom", "--config", str(tmp_path / "nope.json"), "O(0)", "O(0)")
         assert code == 2 and "ParseError" in err
+
+
+def test_cli_does_not_load_the_matrix_oracle():
+    """``wpc`` runs closed forms only: importing the CLI and running
+    commands loads neither ``nilrep``/``linalg`` nor ``fractions``."""
+    script = (
+        "import sys, wpcalc.cli as c\n"
+        "c.main(['tube', 'enumerate', '3', '--count'])\n"
+        "c.main(['hom', '--weights', '2,3', 'O(0)', 'S(2,1)[3]'])\n"
+        "print(sorted({'wpcalc.nilrep', 'wpcalc.linalg', 'fractions'} & set(sys.modules)))"
+    )
+    src = str(Path(wpcalc.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split("\n")[-2] == "[]"
 
 
 class TestLongInputs:

@@ -210,6 +210,53 @@ class TestSerreDuality:
             assert nilrep.ext1_dim(x, y) == nilrep.hom_dim(y, rotate_cycle_rep(x))
 
 
+def _diagonal_base_change(rep, scalars):
+    """Conjugate by diagonal matrices whose entries cycle through ``scalars``."""
+    q = rep.quiver
+    it = iter(scalars * rep.total_dim())
+    diag = {v: [next(it) for _ in range(rep.dims[v])] for v in q.vertices}
+    mats = []
+    for k, (u, v) in enumerate(q.arrows):
+        m = rep.mats[k]
+        mats.append(
+            [
+                [diag[u][i] * x / diag[v][j] for j, x in enumerate(row)]
+                for i, row in enumerate(m)
+            ]
+        )
+    return nilrep.Rep(q, rep.dims, mats)
+
+
+class TestRationalEntries:
+    SCALARS = [Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(5, 7)]
+
+    def test_entries_are_int_where_integral(self):
+        rep = _diagonal_base_change(realize(Arc(cycle(2), 1, 4)), self.SCALARS)
+        entries = [x for m in rep.mats for row in m for x in row]
+        assert any(type(x) is Fraction for x in entries)
+        assert all(type(x) is int or x.denominator != 1 for x in entries)
+
+    def test_nilpotency_check_on_rational_entries(self):
+        nilrep.Rep(LOOP, {0: 2}, [[[0, 0], [Fraction(1, 3), 0]]])
+        with pytest.raises(ValueError):
+            nilrep.Rep(LOOP, {0: 1}, [[[Fraction(1, 2)]]])
+        with pytest.raises(ValueError):
+            nilrep.Rep(LOOP, {0: 2}, [[[0, Fraction(1, 2)], [Fraction(1, 3), 0]]])
+
+    def test_diagonal_base_change_keeps_hom_and_ext(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            x = random_cycle_rep(rng, n)
+            y = random_cycle_rep(rng, n)
+            x2 = _diagonal_base_change(x, self.SCALARS)
+            y2 = _diagonal_base_change(y, self.SCALARS[::-1])
+            dims = (nilrep.hom_dim(x, y), nilrep.ext1_dim(x, y))
+            assert (nilrep.hom_dim(x2, y2), nilrep.ext1_dim(x2, y2)) == dims
+            assert (nilrep.hom_dim(x2, y), nilrep.ext1_dim(x2, y)) == dims
+            assert (nilrep.hom_dim(x, y2), nilrep.ext1_dim(x, y2)) == dims
+
+
 class TestAdditivity:
     def test_direct_sums(self):
         rng = random.Random(5)

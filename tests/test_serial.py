@@ -13,6 +13,8 @@ from wpcalc.errors import (
 )
 from wpcalc.quiver import ExtMatrix, Quiver, ext_quiver, same_multigraph
 from wpcalc.serial import (
+    MAX_CYCLE_RANK,
+    MAX_LINE_RANK,
     Arc,
     ArcClass,
     all_arcs,
@@ -94,16 +96,19 @@ class TestDims:
             dims(Arc(cycle(2), 0, 1), Arc(cycle(3), 0, 1))
 
     def test_matches_nilrep_oracle(self):
-        for n in (1, 2, 3):
-            arcs = all_arcs(cycle(n), 2 * n)
+        # every enumeration rank: U(1..6) with arcs up to twice the rank,
+        # A(0..8) with all arcs; 11,992 pairs
+        cats = [(cycle(n), 2 * n) for n in range(1, MAX_CYCLE_RANK + 1)]
+        cats += [(line(n), None) for n in range(MAX_LINE_RANK + 1)]
+        pairs = 0
+        for cat, max_length in cats:
+            arcs = all_arcs(cat, max_length)
+            reps = {a: realize(a) for a in arcs}
             for x, y in itertools.product(arcs, arcs):
-                rx, ry = realize(x), realize(y)
+                rx, ry = reps[x], reps[y]
                 assert dims(x, y) == (nilrep.hom_dim(rx, ry), nilrep.ext1_dim(rx, ry))
-        for n in (1, 2, 4):
-            arcs = all_arcs(line(n))
-            for x, y in itertools.product(arcs, arcs):
-                rx, ry = realize(x), realize(y)
-                assert dims(x, y) == (nilrep.hom_dim(rx, ry), nilrep.ext1_dim(rx, ry))
+                pairs += 1
+        assert pairs == 11_992
 
     def test_serre_duality_in_tubes(self):
         for n in (1, 2, 3, 4):
