@@ -6,17 +6,17 @@ error (bad flags, unparseable literals, out-of-range requests), 1
 internal invariant violation.  Text-mode errors are one-line messages,
 never tracebacks.  A command whose output grows linearly with a rank or
 weight refuses, before building anything, an output of more than
-``MAX_OUTPUT_OBJECTS`` objects.
+``MAX_OUTPUT_OBJECTS`` objects.  ``json`` and :mod:`wpcalc.quiver` are
+imported by the code paths that use them, so a plain query starts
+without them.
 """
 
 import argparse
-import json
 import sys
 from math import lgamma, log, log10
 
 from . import lgroup, serial, wpl
 from .errors import BoundExceeded, InputError, InternalError, ParseError
-from .quiver import Quiver, quiver_to_json_dict, quiver_to_text
 
 MAX_OUTPUT_OBJECTS = 10**5
 
@@ -34,6 +34,8 @@ def _read_config(path: str):
     """(weights, ordinary labels) of a JSON weight config file."""
     # ValueError covers bad JSON, bad UTF-8 and integers past the digit
     # limit; RecursionError, arrays nested too deeply
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -82,13 +84,11 @@ def _bound_output(count: int):
 
 def _emit(args, payload: dict, text: str):
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
-
-
-def _quiver_payload(q: Quiver) -> dict:
-    return quiver_to_json_dict(q)
 
 
 def _cmd_hom(args):
@@ -127,10 +127,12 @@ def _cmd_top(args):
 
 
 def _cmd_extquiver(args):
+    from .quiver import quiver_to_json_dict, quiver_to_text
+
     w = _model(args)
     coll = wpl.Collection([wpl.parse_sheaf(w, t) for t in args.objects])
     q = wpl.ext_quiver_of(w, coll)
-    _emit(args, _quiver_payload(q), quiver_to_text(q).rstrip("\n"))
+    _emit(args, quiver_to_json_dict(q), quiver_to_text(q).rstrip("\n"))
 
 
 def _cmd_check(args):
@@ -201,10 +203,11 @@ def _enumerate_payload(descs) -> list:
 
 def _cmd_enumerate(args, kind):
     cat = serial.cycle(args.rank) if kind == "cycle" else serial.line(args.rank)
-    descs = serial.enumerate_thick(cat)
     if args.count:
-        _emit(args, {"category": str(cat), "count": len(descs)}, str(len(descs)))
+        n = serial.count_thick(cat)
+        _emit(args, {"category": str(cat), "count": n}, str(n))
         return
+    descs = serial.enumerate_thick(cat)
     payload = {
         "category": str(cat),
         "count": len(descs),
@@ -245,6 +248,8 @@ def _cmd_count_big(args):
 
 
 def _cmd_classify(args):
+    from .quiver import quiver_to_json_dict, quiver_to_text
+
     w = _model(args)
     coll = wpl.Collection([wpl.parse_sheaf(w, t) for t in args.objects])
     res = wpl.classify_generated(w, coll)
@@ -253,7 +258,7 @@ def _cmd_classify(args):
     if res.witnesses:
         payload["witnesses"] = [str(x) for x in res.witnesses if x is not None]
     if res.quiver is not None:
-        payload["quiver"] = _quiver_payload(res.quiver)
+        payload["quiver"] = quiver_to_json_dict(res.quiver)
         text += "\n" + quiver_to_text(res.quiver).rstrip("\n")
     _emit(args, payload, text)
 
@@ -375,6 +380,8 @@ def main(argv=None) -> int:
 def _report_error(args, exc):
     code = type(exc).__name__
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps({"error": {"code": code, "message": str(exc)}}))
     else:
         print(f"error [{code}]: {exc}", file=sys.stderr)

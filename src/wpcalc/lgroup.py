@@ -8,28 +8,30 @@ weight tuple is allowed (L = Z*c, ordinary projective line).
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LengthMismatch, ParseError, WeightMismatch, check_digit_runs
 
 
-@dataclass(frozen=True)
-class Weights:
+class _WeightsFields(NamedTuple):
     r: tuple  # weights of the weighted points, each >= 2
 
-    def __init__(self, r):
+
+class Weights(_WeightsFields):
+    __slots__ = ()
+
+    def __new__(cls, r):
         rr = tuple(int(x) for x in r)
         if any(x < 2 for x in rr):
             raise ParseError(f"weights must all be >= 2, got {rr}")
-        object.__setattr__(self, "r", rr)
+        return tuple.__new__(cls, (rr,))
 
     @property
     def p(self) -> int:
         return len(self.r)
 
 
-@dataclass(frozen=True)
-class LElement:
+class LElement(NamedTuple):
     a: int
     b: tuple  # of ints, 0 <= b_i <= r_i - 1; length checked against Weights by ops
 

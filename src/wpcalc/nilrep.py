@@ -206,13 +206,19 @@ def euler_form(q: Quiver, d, e) -> int:
     return total
 
 
-def ext1_dim(m: Rep, n: Rep) -> int:
-    """dim Ext^1(m, n) in the nilpotent module category, as hom - euler."""
+def hom_ext1(m: Rep, n: Rep) -> tuple:
+    """(dim Hom(m, n), dim Ext^1(m, n)) from one solve; Ext^1 is hom - euler."""
     if m.quiver != n.quiver:
-        raise QuiverMismatch("ext1_dim needs representations over the same quiver")
-    defect = hom_dim(m, n) - euler_form(m.quiver, dim_vector(m), dim_vector(n))
+        raise QuiverMismatch("Ext^1 needs representations over the same quiver")
+    hom = hom_dim(m, n)
+    defect = hom - euler_form(m.quiver, dim_vector(m), dim_vector(n))
     if defect < 0:
         raise NonNegativityViolation(
             f"negative Ext^1 defect {defect}; matrix/Euler conventions are out of sync"
         )
-    return defect
+    return hom, defect
+
+
+def ext1_dim(m: Rep, n: Rep) -> int:
+    """dim Ext^1(m, n) in the nilpotent module category, as hom - euler."""
+    return hom_ext1(m, n)[1]

@@ -13,18 +13,21 @@ itself (arrow counting for simples goes the transposed way; see
 :func:`simple_ext_dims`).
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DisconnectedQuiver, ParseError, UnknownVertex
 
 
-@dataclass(frozen=True)
-class Quiver:
+class _QuiverFields(NamedTuple):
     vertices: tuple
     arrows: tuple  # of (source, target) pairs
 
-    def __init__(self, vertices, arrows):
+
+class Quiver(_QuiverFields):
+    __slots__ = ()
+
+    def __new__(cls, vertices, arrows):
         vs = tuple(vertices)
         ars = tuple((s, t) for s, t in arrows)
         if len(set(vs)) != len(vs):
@@ -33,8 +36,7 @@ class Quiver:
         for s, t in ars:
             if s not in vset or t not in vset:
                 raise UnknownVertex(f"arrow ({s!r}, {t!r}) has an undeclared endpoint")
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "arrows", ars)
+        return tuple.__new__(cls, (vs, ars))
 
     def arrow_count(self, src, dst):
         return sum(1 for s, t in self.arrows if s == src and t == dst)
@@ -46,22 +48,24 @@ class Quiver:
         return sum(1 for _, t in self.arrows if t == v)
 
 
-@dataclass(frozen=True)
-class ExtMatrix:
-    """Square table of Ext^1 dimensions over an ordered list of labels."""
-
+class _ExtMatrixFields(NamedTuple):
     labels: tuple
     ext1: tuple  # of tuples of ints; ext1[i][j] = dim Ext^1(obj_i, obj_j)
 
-    def __init__(self, labels, ext1):
+
+class ExtMatrix(_ExtMatrixFields):
+    """Square table of Ext^1 dimensions over an ordered list of labels."""
+
+    __slots__ = ()
+
+    def __new__(cls, labels, ext1):
         ls = tuple(labels)
         rows = tuple(tuple(int(x) for x in row) for row in ext1)
         if len(rows) != len(ls) or any(len(r) != len(ls) for r in rows):
             raise ParseError("ext matrix must be square with side = number of labels")
         if any(x < 0 for row in rows for x in row):
             raise ParseError("ext matrix entries must be non-negative")
-        object.__setattr__(self, "labels", ls)
-        object.__setattr__(self, "ext1", rows)
+        return tuple.__new__(cls, (ls, rows))
 
 
 class SerreKind(Enum):
@@ -70,8 +74,7 @@ class SerreKind(Enum):
     NO_SERRE = "no_serre"
 
 
-@dataclass(frozen=True)
-class SerreClass:
+class SerreClass(NamedTuple):
     kind: SerreKind
     cycle_length: int | None = None
 

@@ -28,7 +28,6 @@ orthogonal is the AND of its members' lifted masks.
 """
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,24 +40,27 @@ from .errors import (
     ParseError,
     check_digit_runs,
 )
-from .quiver import Quiver
 
 MAX_CYCLE_RANK = 6
 MAX_LINE_RANK = 8
 
 
-@dataclass(frozen=True)
-class SerialCat:
+class _SerialCatFields(NamedTuple):
     kind: str  # "line" | "cycle"
     rank: int
 
-    def __post_init__(self):
-        if self.kind not in ("line", "cycle"):
-            raise InvalidArc(f"unknown serial kind {self.kind!r}")
-        if self.kind == "line" and self.rank < 0:
+
+class SerialCat(_SerialCatFields):
+    __slots__ = ()
+
+    def __new__(cls, kind, rank):
+        if kind not in ("line", "cycle"):
+            raise InvalidArc(f"unknown serial kind {kind!r}")
+        if kind == "line" and rank < 0:
             raise InvalidArc("line rank must be >= 0")
-        if self.kind == "cycle" and self.rank < 1:
+        if kind == "cycle" and rank < 1:
             raise InvalidArc("cycle rank must be >= 1")
+        return tuple.__new__(cls, (kind, rank))
 
     def __str__(self):
         return ("U(%d)" if self.kind == "cycle" else "A(%d)") % self.rank
@@ -72,24 +74,28 @@ def cycle(n: int) -> SerialCat:
     return SerialCat("cycle", n)
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
+class _ArcFields(NamedTuple):
     cat: SerialCat
     top: int
     length: int
 
-    def __post_init__(self):
-        if self.length < 1:
+
+class Arc(_ArcFields):
+    """An arc; arcs order by ``(cat, top, length)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, cat, top, length):
+        if length < 1:
             raise InvalidArc("arc length must be >= 1")
-        if self.cat.kind == "cycle":
-            object.__setattr__(self, "top", self.top % self.cat.rank)
+        if cat.kind == "cycle":
+            top %= cat.rank
         else:
-            if not 1 <= self.top <= self.cat.rank:
-                raise InvalidArc(f"line top {self.top} out of 1..{self.cat.rank}")
-            if self.length > self.top:
-                raise InvalidArc(
-                    f"interval would leave the quiver: top {self.top}, length {self.length}"
-                )
+            if not 1 <= top <= cat.rank:
+                raise InvalidArc(f"line top {top} out of 1..{cat.rank}")
+            if length > top:
+                raise InvalidArc(f"interval would leave the quiver: top {top}, length {length}")
+        return tuple.__new__(cls, (cat, top, length))
 
     def socle(self) -> int:
         """Index of the bottom composition factor."""
@@ -202,14 +208,18 @@ def classify_arc(a: Arc) -> ArcClass:
 
 
 @lru_cache(maxsize=32)
-def cycle_quiver(n: int) -> Quiver:
+def cycle_quiver(n: int) -> "Quiver":
     """Oriented cycle Z_n on vertices 0..n-1, arrows i -> i+1 (mod n)."""
+    from .quiver import Quiver
+
     return Quiver(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 @lru_cache(maxsize=32)
-def line_quiver(n: int) -> Quiver:
+def line_quiver(n: int) -> "Quiver":
     """Linear quiver A_n on vertices 1..n, arrows i -> i+1."""
+    from .quiver import Quiver
+
     return Quiver(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
 
 
@@ -252,8 +262,7 @@ def realize(a: Arc):
 # -- perpendicular categories and embeddings ----------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddedFactor:
+class EmbeddedFactor(NamedTuple):
     """One factor of a perpendicular category, with its ambient simples.
 
     ``simple_images[k]`` is the ambient arc standing for the abstract
@@ -279,8 +288,7 @@ class EmbeddedFactor:
         return Arc(top_block.cat, top_block.top, sum(b.length for b in blocks))
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     ambient: SerialCat
     factors: tuple  # of EmbeddedFactor
 
@@ -332,8 +340,7 @@ def perp_arc(e: Arc) -> Embedding:
 # -- thick subcategories -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThickDesc:
+class ThickDesc(NamedTuple):
     """A thick subcategory: member signature, factors, generators.
 
     ``signature`` lists the member arcs of length <= rank (sorted); it
@@ -554,13 +561,23 @@ def membership(t: ThickDesc, x: Arc) -> bool:
     return all(dims(g, x) == (0, 0) for g in t.left_orthogonal)
 
 
-def enumerate_thick(cat: SerialCat):
-    """All thick subcategories of the serial category, canonically sorted."""
+def _capped_index(cat: SerialCat) -> _ArcIndex:
+    """The category's index, if enumeration accepts its rank."""
     if cat.kind == "cycle" and cat.rank > MAX_CYCLE_RANK:
         raise BoundExceeded(f"tube enumeration capped at rank {MAX_CYCLE_RANK}")
     if cat.kind == "line" and cat.rank > MAX_LINE_RANK:
         raise BoundExceeded(f"line enumeration capped at rank {MAX_LINE_RANK}")
-    idx = _index(cat)
+    return _index(cat)
+
+
+def count_thick(cat: SerialCat) -> int:
+    """Number of thick subcategories; builds no descriptor."""
+    return len(_enumerate_signatures(_capped_index(cat)))
+
+
+def enumerate_thick(cat: SerialCat):
+    """All thick subcategories of the serial category, canonically sorted."""
+    idx = _capped_index(cat)
     descs = [_build_desc(idx, sig) for sig in _enumerate_signatures(idx)]
     return sorted(descs, key=lambda t: (len(t.signature), t.signature))
 

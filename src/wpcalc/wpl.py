@@ -27,9 +27,9 @@ power c adds c-bar to gradings and fixes all torsion classes.
 """
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from typing import NamedTuple
 
 from . import lgroup
 from .errors import (
@@ -41,16 +41,18 @@ from .errors import (
     check_digit_runs,
 )
 from .lgroup import LElement, Weights
-from .quiver import ExtMatrix, Quiver, ext_quiver
 from .serial import Arc, HomExt, _count_congruent, cycle, dims as tube_dims, perp_arc
 
 
-@dataclass(frozen=True)
-class WplData:
+class _WplDataFields(NamedTuple):
     weights: Weights
     ordinary: tuple  # declared ordinary-point labels, weight 1
 
-    def __init__(self, weights, ordinary=()):
+
+class WplData(_WplDataFields):
+    __slots__ = ()
+
+    def __new__(cls, weights, ordinary=()):
         if not isinstance(weights, Weights):
             weights = Weights(weights)
         labels = tuple(sorted(str(y) for y in ordinary))
@@ -61,8 +63,7 @@ class WplData:
                 raise ParseError(
                     f"ordinary label {y!r} clashes with weighted-point addressing"
                 )
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ordinary", labels)
+        return tuple.__new__(cls, (weights, labels))
 
     def weight_of(self, i: int) -> int:
         if not 1 <= i <= self.weights.p:
@@ -70,16 +71,14 @@ class WplData:
         return self.weights.r[i - 1]
 
 
-@dataclass(frozen=True)
-class LineBundle:
+class LineBundle(NamedTuple):
     lam: LElement
 
     def __str__(self):
         return f"O({lgroup.format_element(self.lam)})"
 
 
-@dataclass(frozen=True)
-class TorsionW:
+class TorsionW(NamedTuple):
     """Indecomposable torsion arc at weighted point x_i, top simple S_{i,top}."""
 
     i: int
@@ -91,8 +90,7 @@ class TorsionW:
         return base if self.length == 1 else f"{base}[{self.length}]"
 
 
-@dataclass(frozen=True)
-class TorsionO:
+class TorsionO(NamedTuple):
     """Indecomposable torsion arc of the given length at an ordinary point."""
 
     y: str
@@ -266,12 +264,15 @@ def top_m(w: WplData, point, lam: LElement, m: int) -> SheafClass:
 # -- collections ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Collection:
+class _CollectionFields(NamedTuple):
     objects: tuple  # ordered SheafClass tuple
 
-    def __init__(self, objects):
-        object.__setattr__(self, "objects", tuple(objects))
+
+class Collection(_CollectionFields):
+    __slots__ = ()
+
+    def __new__(cls, objects):
+        return tuple.__new__(cls, (tuple(objects),))
 
     def labels(self):
         return tuple(str(f) for f in self.objects)
@@ -316,7 +317,9 @@ def is_vertex_like(w: WplData, c: Collection) -> bool:
     return True
 
 
-def ext_matrix_of(w: WplData, c: Collection) -> ExtMatrix:
+def ext_matrix_of(w: WplData, c: Collection) -> "ExtMatrix":
+    from .quiver import ExtMatrix
+
     labels = c.labels()
     if len(set(labels)) != len(labels):
         raise NotVertexLike("collection has repeated objects")
@@ -324,8 +327,10 @@ def ext_matrix_of(w: WplData, c: Collection) -> ExtMatrix:
     return ExtMatrix(labels, rows)
 
 
-def ext_quiver_of(w: WplData, c: Collection) -> Quiver:
+def ext_quiver_of(w: WplData, c: Collection) -> "Quiver":
     """Ext-quiver of a vertex-like collection (labels are class literals)."""
+    from .quiver import ext_quiver
+
     if not is_vertex_like(w, c):
         raise NotVertexLike("collection is not vertex-like")
     return ext_quiver(ext_matrix_of(w, c))
@@ -334,8 +339,7 @@ def ext_quiver_of(w: WplData, c: Collection) -> Quiver:
 # -- perpendicular reduction, counting, classification --------------------------
 
 
-@dataclass(frozen=True)
-class PerpTorsionResult:
+class PerpTorsionResult(NamedTuple):
     new_weights: Weights
     dropped_point: bool  # the support point became ordinary (weight 1)
     line_generators: tuple  # ambient classes generating the A_{m-1} factor
@@ -394,11 +398,10 @@ class ClassifyKind(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: ClassifyKind
     witnesses: tuple | None = None  # (bundle, sphere-like) for BIG
-    quiver: Quiver | None = None
+    quiver: "Quiver | None" = None
     torsion_part: Collection | None = None
     free_part: Collection | None = None
 

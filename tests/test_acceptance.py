@@ -143,19 +143,13 @@ def test_criterion_6_oracle_equivalence():
         arcs = all_arcs(cycle(n), 2 * n)
         reps = {a: realize(a) for a in arcs}
         for x, y in itertools.product(arcs, arcs):
-            assert dims(x, y) == (
-                nilrep.hom_dim(reps[x], reps[y]),
-                nilrep.ext1_dim(reps[x], reps[y]),
-            )
+            assert dims(x, y) == nilrep.hom_ext1(reps[x], reps[y])
             pairs += 1
     for n in (1, 2, 3, 4, 5):
         arcs = all_arcs(line(n))
         reps = {a: realize(a) for a in arcs}
         for x, y in itertools.product(arcs, arcs):
-            assert dims(x, y) == (
-                nilrep.hom_dim(reps[x], reps[y]),
-                nilrep.ext1_dim(reps[x], reps[y]),
-            )
+            assert dims(x, y) == nilrep.hom_ext1(reps[x], reps[y])
             pairs += 1
     _report(6, f"serial.dims matches the matrix oracle on {pairs} arc pairs")
 

@@ -228,6 +228,30 @@ def test_cli_does_not_load_the_matrix_oracle():
     assert proc.stdout.split("\n")[-2] == "[]"
 
 
+def test_plain_queries_load_no_json_dataclasses_or_quiver():
+    """``hom``, ``tau`` and ``--count`` start without ``dataclasses``,
+    ``json`` or ``wpcalc.quiver``; ``--json`` loads ``json`` on demand."""
+    script = (
+        "import sys, wpcalc.cli as c\n"
+        "c.main(['hom', '--weights', '2,3', 'O(0)', 'O(c)'])\n"
+        "c.main(['tau', '--weights', '2,3', 'S(2,1)[2]'])\n"
+        "c.main(['tube', 'enumerate', '3', '--count'])\n"
+        "print(sorted({'dataclasses', 'json', 'wpcalc.quiver'} & set(sys.modules)))\n"
+        "c.main(['hom', '--json', '--weights', '2,3', 'O(0)', 'O(c)'])"
+    )
+    src = str(Path(wpcalc.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[:4] == ["hom=2 ext1=0", "S(2,0)[2]", "20", "[]"]
+    assert len(lines) == 5 and json.loads(lines[4]) == {"hom": 2, "ext1": 0}
+
+
 class TestLongInputs:
     @pytest.mark.parametrize(
         "f, g, expected",

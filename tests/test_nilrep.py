@@ -116,9 +116,8 @@ class TestExt1:
 
     def test_loop_jordan_pair(self):
         j2, j1 = jordan(2), jordan(1)
-        assert nilrep.hom_dim(j2, j1) == 1
         assert nilrep.euler_form(LOOP, nilrep.dim_vector(j2), nilrep.dim_vector(j1)) == 0
-        assert nilrep.ext1_dim(j2, j1) == 1
+        assert nilrep.hom_ext1(j2, j1) == (1, 1)
         # independent check: extension data B modulo coboundaries psi.N - N.psi
         n_j2 = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
         coboundaries = []
@@ -126,6 +125,15 @@ class TestExt1:
             psi = [[Fraction(1 if t == k else 0) for t in range(2)]]
             coboundaries.append(linalg.mat_mul(psi, n_j2)[0])
         assert 2 - linalg.rank(coboundaries) == 1
+
+    def test_hom_ext1_is_hom_dim_and_ext1_dim(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            x, y = random_cycle_rep(rng, n), random_cycle_rep(rng, n)
+            assert nilrep.hom_ext1(x, y) == (nilrep.hom_dim(x, y), nilrep.ext1_dim(x, y))
+        with pytest.raises(QuiverMismatch):
+            nilrep.hom_ext1(nilrep.simple_rep(A2, 1), nilrep.simple_rep(A3, 1))
 
     def test_zero_target(self):
         z = nilrep.zero_rep(Z3)
@@ -251,10 +259,10 @@ class TestRationalEntries:
             y = random_cycle_rep(rng, n)
             x2 = _diagonal_base_change(x, self.SCALARS)
             y2 = _diagonal_base_change(y, self.SCALARS[::-1])
-            dims = (nilrep.hom_dim(x, y), nilrep.ext1_dim(x, y))
-            assert (nilrep.hom_dim(x2, y2), nilrep.ext1_dim(x2, y2)) == dims
-            assert (nilrep.hom_dim(x2, y), nilrep.ext1_dim(x2, y)) == dims
-            assert (nilrep.hom_dim(x, y2), nilrep.ext1_dim(x, y2)) == dims
+            dims = nilrep.hom_ext1(x, y)
+            assert nilrep.hom_ext1(x2, y2) == dims
+            assert nilrep.hom_ext1(x2, y) == dims
+            assert nilrep.hom_ext1(x, y2) == dims
 
 
 class TestAdditivity:

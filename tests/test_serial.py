@@ -1,9 +1,11 @@
 import itertools
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from wpcalc import nilrep
+from wpcalc import linalg, nilrep
 from wpcalc.errors import (
     BoundExceeded,
     CategoryMismatch,
@@ -17,8 +19,10 @@ from wpcalc.serial import (
     MAX_LINE_RANK,
     Arc,
     ArcClass,
+    SerialCat,
     all_arcs,
     classify_arc,
+    count_thick,
     cycle,
     dims,
     enumerate_thick,
@@ -53,6 +57,76 @@ class TestArcs:
             parse_arc("U(3):arc(0)")
         with pytest.raises(ParseError):
             parse_arc("A(3):arc(3,1)")
+
+
+class TestValueTypes:
+    """Reprs, order, hashing and immutability of the serial value types."""
+
+    def test_reprs(self):
+        c3 = "SerialCat(kind='cycle', rank=3)"
+        assert repr(cycle(3)) == c3
+        assert repr(Arc(cycle(3), 4, 2)) == f"Arc(cat={c3}, top=1, length=2)"
+        emb = perp_arc(Arc(cycle(3), 0, 1))
+        images = f"(Arc(cat={c3}, top=0, length=2), Arc(cat={c3}, top=1, length=1))"
+        factor = f"EmbeddedFactor(cat=SerialCat(kind='cycle', rank=2), simple_images={images})"
+        assert repr(emb.factors[0]) == factor
+        assert repr(emb) == (
+            f"Embedding(ambient={c3}, factors=({factor}, "
+            "EmbeddedFactor(cat=SerialCat(kind='line', rank=0), simple_images=())))"
+        )
+        c2 = "SerialCat(kind='cycle', rank=2)"
+        assert repr(thick_closure(cycle(2), [Arc(cycle(2), 0, 1)])) == (
+            f"ThickDesc(cat={c2}, signature=(Arc(cat={c2}, top=0, length=1),), "
+            f"embedding=Embedding(ambient={c2}, factors=(EmbeddedFactor("
+            f"cat=SerialCat(kind='line', rank=1), simple_images=(Arc(cat={c2}, top=0, length=1),)),)), "
+            f"left_orthogonal=(Arc(cat={c2}, top=1, length=2),))"
+        )
+
+    def test_sorted_arcs_order_by_top_then_length(self):
+        assert [(a.top, a.length) for a in sorted(all_arcs(line(3)))] == [
+            (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)
+        ]
+        assert [(a.top, a.length) for a in sorted(all_arcs(cycle(2), 3), reverse=True)] == [
+            (1, 3), (1, 2), (1, 1), (0, 3), (0, 2), (0, 1)
+        ]
+
+    def test_equal_values_hash_equal(self):
+        a, b = Arc(cycle(3), -1, 2), Arc(cycle(3), 2, 2)
+        assert a == b and hash(a) == hash(b)
+        assert hash(SerialCat("line", 4)) == hash(line(4))
+        assert len({a, b, Arc(cycle(3), 2, 1)}) == 2
+        t1 = thick_closure(cycle(3), [Arc(cycle(3), 0, 1)])
+        t2 = thick_closure(cycle(3), [Arc(cycle(3), 3, 1)])
+        assert t1 == t2 and hash(t1) == hash(t2)
+
+    def test_immutable(self):
+        a = Arc(cycle(3), 0, 1)
+        emb = perp_arc(a)
+        for obj, field in [(a, "top"), (a.cat, "rank"), (emb, "factors"),
+                           (emb.factors[0], "cat"), (thick_closure(a.cat, [a]), "signature")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SerialCat("tree", 2),
+            lambda: cycle(0),
+            lambda: line(-1),
+            lambda: Arc(cycle(3), 0, 0),
+            lambda: Arc(line(3), 0, 1),
+            lambda: Arc(line(3), 2, 3),
+            lambda: line_arc(3, 2, 1),
+        ],
+    )
+    def test_invalid_arcs(self, build):
+        with pytest.raises(InvalidArc):
+            build()
+
+    @pytest.mark.parametrize("text", ["U(0):arc(0,1)", "U(3):arc(0,0)", "A(2):arc(2,3)", "A(3):arc(3,1)"])
+    def test_bad_literals(self, text):
+        with pytest.raises(ParseError):
+            parse_arc(text)
 
 
 class TestTau:
@@ -97,16 +171,18 @@ class TestDims:
 
     def test_matches_nilrep_oracle(self):
         # every enumeration rank: U(1..6) with arcs up to twice the rank,
-        # A(0..8) with all arcs; 11,992 pairs
+        # A(0..8) with all arcs; 11,992 pairs.  Each realized arc is
+        # conjugated by a random base change, so the solve eliminates on
+        # dense rational systems, not on 0/1 shift matrices.
+        rng = random.Random(6)
         cats = [(cycle(n), 2 * n) for n in range(1, MAX_CYCLE_RANK + 1)]
         cats += [(line(n), None) for n in range(MAX_LINE_RANK + 1)]
         pairs = 0
         for cat, max_length in cats:
             arcs = all_arcs(cat, max_length)
-            reps = {a: realize(a) for a in arcs}
+            reps = {a: _base_change(rng, realize(a)) for a in arcs}
             for x, y in itertools.product(arcs, arcs):
-                rx, ry = reps[x], reps[y]
-                assert dims(x, y) == (nilrep.hom_dim(rx, ry), nilrep.ext1_dim(rx, ry))
+                assert dims(x, y) == nilrep.hom_ext1(reps[x], reps[y])
                 pairs += 1
         assert pairs == 11_992
 
@@ -115,6 +191,38 @@ class TestDims:
             arcs = all_arcs(cycle(n), 2 * n)
             for x, y in itertools.product(arcs, arcs):
                 assert dims(x, y).ext1 == dims(y, tau(x)).hom
+
+
+def _random_invertible(rng, d):
+    """A random invertible d x d integer matrix and its rational inverse,
+    by Gauss-Jordan on [m | 1]; a singular draw is drawn again."""
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(d)] for i, row in enumerate(m)]
+        for c in range(d):
+            p = next((i for i in range(c, d) if a[i][c]), None)
+            if p is None:
+                break
+            a[c], a[p] = a[p], a[c]
+            a[c] = [x / a[c][c] for x in a[c]]
+            for i in range(d):
+                f = a[i][c]
+                if i != c and f:
+                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+        else:
+            return m, [row[d:] for row in a]
+
+
+def _base_change(rng, rep):
+    """Conjugate by a random invertible integer matrix P_v at every vertex."""
+    p, p_inv = {}, {}
+    for v, d in rep.dims.items():
+        p[v], p_inv[v] = _random_invertible(rng, d)
+    mats = [
+        linalg.mat_mul(p[u], linalg.mat_mul(m, p_inv[v])) if m else []
+        for (u, v), m in zip(rep.quiver.arrows, rep.mats)
+    ]
+    return nilrep.Rep(rep.quiver, rep.dims, mats)
 
 
 class TestClassify:
@@ -445,6 +553,19 @@ class TestEnumerate:
             enumerate_thick(cycle(7))
         with pytest.raises(BoundExceeded):
             enumerate_thick(line(9))
+
+    def test_count_matches_enumeration(self):
+        cats = [cycle(n) for n in range(1, MAX_CYCLE_RANK + 1)]
+        cats += [line(n) for n in range(MAX_LINE_RANK + 1)]
+        for cat in cats:
+            assert count_thick(cat) == len(enumerate_thick(cat))
+        for cat, cap in [(cycle(7), MAX_CYCLE_RANK), (line(9), MAX_LINE_RANK)]:
+            with pytest.raises(BoundExceeded) as counted:
+                count_thick(cat)
+            with pytest.raises(BoundExceeded) as enumerated:
+                enumerate_thick(cat)
+            assert str(counted.value) == str(enumerated.value)
+            assert f"capped at rank {cap}" in str(counted.value)
 
     def test_deterministic_order(self):
         a = enumerate_thick(cycle(3))

@@ -10,9 +10,10 @@ from wpcalc.errors import (
     NotVertexLike,
     ParseError,
     UnknownPoint,
+    UnknownVertex,
 )
-from wpcalc.lgroup import Weights
-from wpcalc.quiver import same_multigraph
+from wpcalc.lgroup import LElement, Weights
+from wpcalc.quiver import ExtMatrix, Quiver, same_multigraph, serre_class
 from wpcalc.serial import cycle, enumerate_thick, shape_of_thick
 from wpcalc.wpl import (
     ClassifyKind,
@@ -113,6 +114,107 @@ class TestModel:
 
     def test_torsion_top_normalized(self):
         assert parse_sheaf(W3333, "S(1,3)") == TorsionW(1, 0, 1)
+
+
+class TestValueTypes:
+    """Reprs, hashing and immutability of the grading-group, quiver and
+    sheaf value types."""
+
+    def test_reprs(self):
+        lam = lgroup.normalize(Weights((2, 3)), 1, [1, 2])
+        q = Quiver([1, 2], [(1, 2)])
+        classified = classify_generated(W23, Collection([TorsionW(1, 1, 1), TorsionW(2, 1, 1)]))
+        reprs = [
+            (Weights((2, 3)), "Weights(r=(2, 3))"),
+            (lam, "LElement(a=1, b=(1, 2))"),
+            (q, "Quiver(vertices=(1, 2), arrows=((1, 2),))"),
+            (ExtMatrix(["a", "b"], [[0, 1], [0, 0]]), "ExtMatrix(labels=('a', 'b'), ext1=((0, 1), (0, 0)))"),
+            (serre_class(q), "SerreClass(kind=<SerreKind.FINITE_PATHS: 'finite_paths'>, cycle_length=None)"),
+            (W23, "WplData(weights=Weights(r=(2, 3)), ordinary=('y',))"),
+            (LineBundle(lam), "LineBundle(lam=LElement(a=1, b=(1, 2)))"),
+            (TorsionW(1, 1, 2), "TorsionW(i=1, top=1, length=2)"),
+            (TorsionO("y", 1), "TorsionO(y='y', length=1)"),
+            (
+                canonical_collection(WplData((2,))),
+                "Collection(objects=(LineBundle(lam=LElement(a=0, b=(0,))), "
+                "LineBundle(lam=LElement(a=0, b=(1,))), LineBundle(lam=LElement(a=1, b=(0,)))))",
+            ),
+            (
+                perp_exceptional_torsion(WplData((3, 3)), TorsionW(1, 1, 1)),
+                "PerpTorsionResult(new_weights=Weights(r=(2, 3)), dropped_point=False, "
+                "line_generators=(), tube_generators=(TorsionW(i=1, top=1, length=2), "
+                "TorsionW(i=1, top=2, length=1)))",
+            ),
+            (
+                classified,
+                "Classification(kind=<ClassifyKind.QUIVER_LIKE: 'quiver_like'>, witnesses=None, "
+                "quiver=Quiver(vertices=('S(1,1)', 'S(2,1)'), arrows=()), torsion_part=None, "
+                "free_part=None)",
+            ),
+        ]
+        for obj, text in reprs:
+            assert repr(obj) == text
+
+    def test_equal_values_hash_equal(self):
+        pairs = [
+            (Weights([2, 3]), Weights(("2", 3))),
+            (WplData((2, 3), ["z", "y"]), WplData(Weights((2, 3)), ("y", "z"))),
+            (Quiver(range(2), [[0, 1]]), Quiver((0, 1), ((0, 1),))),
+            (ExtMatrix("ab", [[0, 1], [0, 0]]), ExtMatrix(("a", "b"), (("0", 1), (0, 0)))),
+            (Collection([TorsionO("y", 1)]), Collection((TorsionO("y", 1),))),
+            (parse_sheaf(W23, "O(c+3x1)"), LineBundle(LElement(2, (1, 0)))),
+            (parse_sheaf(W23, "S(2,4)[2]"), TorsionW(2, 1, 2)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+
+    def test_mixed_sheaf_set_keeps_its_size(self):
+        classes = [
+            LineBundle(LElement(0, (0, 0))),
+            LineBundle(LElement(1, (0, 0))),
+            TorsionW(1, 0, 1),
+            TorsionW(1, 0, 2),
+            TorsionW(2, 0, 1),
+            TorsionO("y", 1),
+            TorsionO("y", 2),
+        ]
+        assert len(set(classes)) == len(classes)
+        assert len(set(classes + [parse_sheaf(W23, str(f)) for f in classes])) == len(classes)
+
+    def test_immutable(self):
+        objs = [
+            (Weights((2,)), "r"),
+            (LElement(0, ()), "a"),
+            (Quiver([1], []), "arrows"),
+            (ExtMatrix([], []), "labels"),
+            (serre_class(Quiver([1], [])), "kind"),
+            (W23, "ordinary"),
+            (LineBundle(LElement(0, ())), "lam"),
+            (TorsionW(1, 0, 1), "top"),
+            (TorsionO("y", 1), "length"),
+            (Collection([]), "objects"),
+            (perp_exceptional_torsion(W3333, TorsionW(1, 1, 1)), "dropped_point"),
+            (classify_generated(W23, Collection([TorsionW(1, 1, 1)])), "quiver"),
+        ]
+        for obj, field in objs:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: Weights([2, 1]), ParseError),
+            (lambda: WplData([2, 3], ["y", "y"]), ParseError),
+            (lambda: WplData([2], ["x2"]), ParseError),
+            (lambda: Quiver([1, 1], []), UnknownVertex),
+            (lambda: Quiver([1], [(1, 2)]), UnknownVertex),
+            (lambda: ExtMatrix(["a"], [[0, 0]]), ParseError),
+            (lambda: ExtMatrix(["a"], [[-1]]), ParseError),
+        ],
+    )
+    def test_validation_errors(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestHomExt:
