@@ -10,16 +10,19 @@ the top of O(lam) at x_i the simple S_{i, b_i(lam)}.
 Hom dimensions have three closed forms, each straight from the graded
 picture; every other pair of classes has no Homs:
 
-* line bundle to line bundle: ``a+1`` if ``a >= 0`` else 0, where a is
-  the c-coefficient of the normal form of the difference;
+* O(lam) to O(mu): ``l+1`` if ``l >= 0`` else 0, where
+  ``l = mu.a - lam.a + sum((mu.b_i - lam.b_i) // r_i)`` is the
+  c-coefficient of the normal form of mu - lam; floor division does the
+  carry, so the form is exact on raw (uncarried) gradings too;
 * line bundle to torsion: the number of the arc's composition factors
   that are the top of the bundle, i.e. factors S_{i,j} with
   ``j = b_i(lam) mod r_i`` (every factor at an ordinary point);
-* torsion to torsion at a common point: tube arithmetic
-  (:func:`wpcalc.serial.dims`).
+* torsion to torsion at a common point: tube arithmetic, one
+  :func:`wpcalc.serial.dims` call for Hom and Ext^1 together.
 
 Ext^1 is Serre-dual to a Hom: ``Ext^1(f, g) = Hom(g, tau f)``, with tau
-the shift by omega on bundles and the tube translate on torsion.
+the shift by omega on bundles and the tube translate on torsion.  Inside
+``hom_ext`` tau is left uncarried, so Hom/Ext^1 make no lgroup call.
 
 The twist sigma at a point adds the point's generator to line-bundle
 gradings and acts as tau^{-1} on torsion at that point; its w(x)-th
@@ -113,7 +116,7 @@ def _validate(w: WplData, f: SheafClass) -> SheafClass:
         r = w.weight_of(f.i)
         if f.length < 1:
             raise ModelMismatch("torsion length must be >= 1")
-        return TorsionW(f.i, f.top % r, f.length)
+        return f if 0 <= f.top < r else TorsionW(f.i, f.top % r, f.length)
     if isinstance(f, TorsionO):
         if f.y not in w.ordinary:
             raise UnknownPoint(f"ordinary point {f.y!r} was not declared")
@@ -137,11 +140,6 @@ def is_sphere_like(w: WplData, f: SheafClass) -> bool:
     return False
 
 
-def _hom_lb(w: WplData, lam_from: LElement, lam_to: LElement) -> int:
-    a = lgroup.sub(w.weights, lam_to, lam_from).a
-    return a + 1 if a >= 0 else 0
-
-
 def _tube_arc(w: WplData, f) -> Arc:
     if isinstance(f, TorsionW):
         return Arc(cycle(w.weight_of(f.i)), f.top, f.length)
@@ -156,36 +154,46 @@ def _same_point(f, g) -> bool:
     return False
 
 
+def _tau(w: WplData, f: SheafClass) -> SheafClass:
+    """Serre translate of a validated class, with top and grading uncarried."""
+    if isinstance(f, LineBundle):
+        lam = f.lam
+        return LineBundle(LElement(lam.a - 2, tuple(b + r - 1 for b, r in zip(lam.b, w.weights.r))))
+    if isinstance(f, TorsionW):
+        return TorsionW(f.i, f.top - 1, f.length)
+    return f
+
+
 def tau_sheaf(w: WplData, f: SheafClass) -> SheafClass:
     """Serre translate: grading shift by omega on bundles, tube tau on torsion."""
     f = _validate(w, f)
     if isinstance(f, LineBundle):
         return LineBundle(lgroup.add(w.weights, f.lam, lgroup.omega(w.weights)))
-    if isinstance(f, TorsionW):
-        return TorsionW(f.i, (f.top - 1) % w.weight_of(f.i), f.length)
-    return f
+    return _validate(w, _tau(w, f))
 
 
 def _hom(w: WplData, f: SheafClass, g: SheafClass) -> int:
-    """dim Hom(f, g) of validated classes."""
-    if isinstance(f, LineBundle):
-        if isinstance(g, LineBundle):
-            return _hom_lb(w, f.lam, g.lam)
-        if isinstance(g, TorsionO):
-            return g.length
-        return _count_congruent(
-            g.top - g.length + 1, g.top, f.lam.b[g.i - 1], w.weight_of(g.i)
-        )
-    if _same_point(f, g):
-        return tube_dims(_tube_arc(w, f), _tube_arc(w, g)).hom
-    return 0
+    """dim Hom(f, g) unless both are torsion at one point; raw gradings and tops are fine."""
+    if not isinstance(f, LineBundle):
+        return 0
+    if isinstance(g, LineBundle):
+        lam, mu = f.lam, g.lam
+        ell = mu.a - lam.a + sum((y - x) // r for x, y, r in zip(lam.b, mu.b, w.weights.r))
+        return ell + 1 if ell >= 0 else 0
+    if isinstance(g, TorsionO):
+        return g.length
+    return _count_congruent(g.top - g.length + 1, g.top, f.lam.b[g.i - 1], w.weights.r[g.i - 1])
 
 
 def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
     """(dim Hom(f, g), dim Ext^1(f, g)), the latter as Hom(g, tau f)."""
     f = _validate(w, f)
     g = _validate(w, g)
-    return HomExt(_hom(w, f, g), _hom(w, g, tau_sheaf(w, f)))
+    if _same_point(f, g):
+        return tube_dims(_tube_arc(w, f), _tube_arc(w, g))
+    # a torsion g maps only into torsion at its own point, handled above
+    ext1 = _hom(w, g, _tau(w, f)) if isinstance(g, LineBundle) else 0
+    return HomExt(_hom(w, f, g), ext1)
 
 
 def euler(w: WplData, f: SheafClass, g: SheafClass) -> int:

@@ -276,6 +276,64 @@ class TestHomExt:
         with pytest.raises(ModelMismatch):
             hom_ext(W23, O(W2222), O(W23))
 
+    @pytest.mark.parametrize("weights", [(2, 3, 5, 4), (2, 2, 2, 2), (7,), ()])
+    def test_raw_input_matches_normal_form(self, weights):
+        # uncarried gradings (b_i in [-3r_i, 3r_i)) and out-of-range tops give
+        # the answers of their normal forms; tau_sheaf returns a normal form
+        w = WplData(Weights(weights), ["y"])
+        rs = w.weights.r
+        rng = random.Random(f"raw:{weights}")
+
+        def draw():
+            kind = rng.randrange(3)
+            if kind == 0 or (kind == 1 and not rs):
+                a, b = rng.randint(-4, 4), [rng.randrange(-3 * r, 3 * r) for r in rs]
+                normal = lgroup.normalize(w.weights, a, b)
+                return LineBundle(LElement(a, tuple(b))), LineBundle(normal)
+            if kind == 1:
+                i = rng.randint(1, len(rs))
+                top, length = rng.randrange(-10, 10), rng.randint(1, 2 * rs[i - 1] + 1)
+                return TorsionW(i, top, length), TorsionW(i, top % rs[i - 1], length)
+            f = TorsionO("y", rng.randint(1, 3))
+            return f, f
+
+        def is_normal(f):
+            if isinstance(f, LineBundle):
+                return all(0 <= b < r for b, r in zip(f.lam.b, rs))
+            return not isinstance(f, TorsionW) or 0 <= f.top < rs[f.i - 1]
+
+        for _ in range(300):
+            (f, fn), (g, gn) = draw(), draw()
+            assert hom_ext(w, f, g) == hom_ext(w, fn, gn)
+            assert euler(w, f, g) == euler(w, fn, gn)
+            assert tau_sheaf(w, f) == tau_sheaf(w, fn)
+            assert is_normal(tau_sheaf(w, f))
+
+    def test_no_grading_group_arithmetic(self, monkeypatch):
+        # hom_ext reads validated fields only: every pair kind still works,
+        # with the same answers, while lgroup's arithmetic raises
+        w = WplData(Weights([2, 3]), ["y"])
+        classes = [
+            LineBundle(LElement(0, (0, 0))),
+            LineBundle(LElement(-1, (1, 2))),
+            LineBundle(LElement(2, (-3, 7))),
+            TorsionW(1, 1, 1),
+            TorsionW(1, 0, 3),
+            TorsionW(2, 2, 2),
+            TorsionW(2, -4, 5),
+            TorsionO("y", 1),
+            TorsionO("y", 2),
+        ]
+        pairs = [(f, g) for f in classes for g in classes]
+        want = [hom_ext(w, f, g) for f, g in pairs]
+
+        def forbidden(*args):
+            raise AssertionError("grading-group arithmetic on the Hom path")
+
+        for name in ("normalize", "add", "sub", "neg", "scale", "xbar", "cbar", "omega"):
+            monkeypatch.setattr(lgroup, name, forbidden)
+        assert [hom_ext(w, f, g) for f, g in pairs] == want
+
 
 class TestEuler:
     def test_sphere_like_zero(self):
