@@ -256,7 +256,7 @@ def _cmd_classify(args):
     payload = {"kind": res.kind.value}
     text = res.kind.value
     if res.witnesses:
-        payload["witnesses"] = [str(x) for x in res.witnesses if x is not None]
+        payload["witnesses"] = [str(x) for x in res.witnesses]
     if res.quiver is not None:
         payload["quiver"] = quiver_to_json_dict(res.quiver)
         text += "\n" + quiver_to_text(res.quiver).rstrip("\n")

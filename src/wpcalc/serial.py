@@ -9,22 +9,19 @@ sits at the *larger* vertex index j.  The translate tau decreases tops by
 one; tau^n = id on a rank-n tube.
 
 Hom dimensions between arcs have a closed form (count of admissible
-landing positions of the top basis vector); Ext^1 in a tube is Serre-dual
-to a Hom, and on a line it is the Euler defect.  The matrix-level oracle
-for all of this lives in :mod:`wpcalc.nilrep` via :func:`realize`.
+landing positions of the top basis vector), and Ext^1 is Serre-dual to a
+Hom on a line as in a tube.  The matrix-level oracle for all of this
+lives in :mod:`wpcalc.nilrep` via :func:`realize`.
 
-Thick subcategories are enumerated by the perpendicular recursion: every
-non-zero thick subcategory is generated by an indecomposable E together
-with a thick subcategory of the perpendicular of E, translated through
-the explicit embedding of the perpendicular's factors.  Signatures (the
-member arcs of length <= rank) are computed by double orthogonality,
-which is valid because every thick subcategory here is admissible.
-Each category keeps a bitset index of those arcs, with Hom/Ext-orthogonal
-and subarc masks as Python ints, so a closure is a few mask ANDs.  Bit
-order is ``Arc`` order, so a mask lists its arcs sorted.  The recursion
-stays on bits: each perpendicular factor arc is lifted once to the right
-mask of its ambient image, and a factor signature's ambient right
-orthogonal is the AND of its members' lifted masks.
+Thick subcategories are enumerated as joins of one-arc closures.  Every
+thick subcategory here is admissible, so it is the join of the
+subcategories its member arcs generate, and its right orthogonal
+determines it (double orthogonality).  Each category keeps a bitset
+index of its arcs of length <= rank, with Hom/Ext-orthogonal and subarc
+masks as Python ints.  The right orthogonal of a join is the AND of the
+members' right masks, so the right orthogonals are exactly the ANDs of
+sets of arc right masks, and a closure is a few more mask ANDs.  Bit
+order is ``Arc`` order, so a mask lists its arcs sorted.
 """
 
 import re
@@ -154,42 +151,33 @@ def _count_congruent(lo: int, hi: int, residue: int, n: int) -> int:
     return (hi - residue) // n - (lo - 1 - residue) // n
 
 
-def _hom(x: Arc, y: Arc) -> int:
-    """dim Hom(x, y).
+def _hom(cat: SerialCat, shift: int, lx: int, ly: int) -> int:
+    """dim Hom(x, y) for arcs of lengths lx, ly with y.top - x.top = shift.
 
     A map is determined by the image of the top basis vector of x, which
-    must live in the fiber of y at x.top and die after length(x) shifts.
+    must live in the fiber of y at x.top and die after lx shifts; on a
+    line the shift is not reduced mod the rank.
     """
-    if x.cat.kind == "cycle":
-        n = x.cat.rank
-        lo = max(0, y.length - x.length)
-        return _count_congruent(lo, y.length - 1, (y.top - x.top) % n, n)
-    a, b = x.interval()
-    c, d = y.interval()
-    return 1 if a <= c <= b <= d else 0
-
-
-def _line_euler(x: Arc, y: Arc) -> int:
-    a, b = x.interval()
-    c, d = y.interval()
-
-    def overlap(lo1, hi1, lo2, hi2):
-        return max(0, min(hi1, hi2) - max(lo1, lo2) + 1)
-
-    return overlap(a, b, c, d) - overlap(a, b, c + 1, d + 1)
+    lo = max(0, ly - lx)
+    if cat.kind == "cycle":
+        n = cat.rank
+        return _count_congruent(lo, ly - 1, shift % n, n)
+    return 1 if lo <= shift < ly else 0
 
 
 def dims(x: Arc, y: Arc) -> HomExt:
-    """(dim Hom(x,y), dim Ext^1(x,y)) in the serial category."""
-    if x.cat != y.cat:
-        raise CategoryMismatch(f"arcs live in different categories: {x.cat} vs {y.cat}")
-    hom = _hom(x, y)
-    if x.cat.kind == "cycle":
-        ext1 = _hom(y, tau(x))  # Serre duality in the tube
-    else:
-        ext1 = hom - _line_euler(x, y)
-        assert ext1 >= 0, "line Euler defect went negative"
-    return HomExt(hom, ext1)
+    """(dim Hom(x,y), dim Ext^1(x,y)) in the serial category.
+
+    Ext^1(x, y) = D Hom(y, tau x) by Serre duality; tau lowers the top by
+    one and kills a projective line arc (socle at vertex 1).
+    """
+    cat = x.cat
+    if cat != y.cat:
+        raise CategoryMismatch(f"arcs live in different categories: {cat} vs {y.cat}")
+    hom = _hom(cat, y.top - x.top, x.length, y.length)
+    if cat.kind == "line" and x.length == x.top:
+        return HomExt(hom, 0)
+    return HomExt(hom, _hom(cat, x.top - 1 - y.top, y.length, x.length))
 
 
 def classify_arc(a: Arc) -> ArcClass:
@@ -411,7 +399,6 @@ class _ArcIndex:
         self.sub = [sum(1 << self.bit[s] for s in _proper_subarcs(a)) for a in self.arcs]
         self._right = [None] * len(self.arcs)
         self._left = [None] * len(self.arcs)
-        self.signatures = None  # frozenset of masks, once enumerated
 
     def right(self, k: int) -> int:
         """Mask of the arcs right-orthogonal to arc k."""
@@ -518,35 +505,24 @@ def thick_closure(cat: SerialCat, gens) -> ThickDesc:
     return _build_desc(idx, idx.closure(right))
 
 
-def _enumerate_signatures(idx: _ArcIndex) -> frozenset:
-    """All thick-subcategory signatures, via the perpendicular recursion.
+def _enumerate_signatures(idx: _ArcIndex) -> set:
+    """All thick-subcategory signatures, one per right-orthogonal mask.
 
-    The right orthogonal of the subcategory generated by e and the
-    embedded members of one thick subcategory per perpendicular factor is
-    the AND of their right masks.  Members and relative simples have the
-    same right orthogonal, and an embedded factor arc of length <= the
-    factor rank has length <= the ambient rank, so every factor bit lifts
-    to the right mask of an ambient bit.  The same right masks recur
-    across the arcs e, so they are gathered first and each is closed once.
+    The right orthogonals are the ANDs of sets of arc right masks.  Walk
+    them from ``full``, the zero subcategory's, by AND with one right
+    mask at a time; each state is one subcategory, closed once.
     """
-    if idx.signatures is not None:
-        return idx.signatures
-    all_rights = set()
-    for k, e in enumerate(idx.arcs):
-        rights = {idx.right(k)}
-        for f in perp_arc(e).factors:
-            fidx = _index(f.cat)
-            lifted = [idx.right(idx.bit[f.embed(a)]) for a in fidx.arcs]
-            factor_rights = set()
-            for sig in _enumerate_signatures(fidx):
-                mask = idx.full
-                for j in _bits(sig):
-                    mask &= lifted[j]
-                factor_rights.add(mask)
-            rights = {r & fr for r in rights for fr in factor_rights}
-        all_rights |= rights
-    idx.signatures = frozenset({0, *map(idx.closure, all_rights)})
-    return idx.signatures
+    rights = {idx.right(k) for k in range(len(idx.arcs))}
+    seen = {idx.full}
+    todo = [idx.full]
+    while todo:
+        state = todo.pop()
+        for r in rights:
+            joined = state & r
+            if joined not in seen:
+                seen.add(joined)
+                todo.append(joined)
+    return {idx.closure(right) for right in seen}
 
 
 def membership(t: ThickDesc, x: Arc) -> bool:

@@ -241,17 +241,13 @@ def sigma_twist(w: WplData, point, f: SheafClass) -> SheafClass:
     return f
 
 
-def _c_shift(w: WplData, f: SheafClass) -> SheafClass:
-    """+c on gradings, identity on torsion."""
-    if isinstance(f, LineBundle):
-        return LineBundle(lgroup.add(w.weights, f.lam, lgroup.cbar(w.weights)))
-    return f
-
-
 def c_twist(w: WplData, point, f: SheafClass) -> SheafClass:
     """sigma iterated w(point) times: +c on gradings, identity on torsion."""
     _resolve_point(w, point)
-    return _c_shift(w, _validate(w, f))
+    f = _validate(w, f)
+    if isinstance(f, LineBundle):
+        return LineBundle(lgroup.add(w.weights, f.lam, lgroup.cbar(w.weights)))
+    return f
 
 
 def top_m(w: WplData, point, lam: LElement, m: int) -> SheafClass:
@@ -408,7 +404,7 @@ class ClassifyKind(Enum):
 
 class Classification(NamedTuple):
     kind: ClassifyKind
-    witnesses: tuple | None = None  # (bundle, sphere-like) for BIG
+    witnesses: tuple | None = None  # (bundle, sphere-like) for BIG, else None
     quiver: "Quiver | None" = None
     torsion_part: Collection | None = None
     free_part: Collection | None = None
@@ -418,10 +414,9 @@ def classify_generated(w: WplData, g: Collection) -> Classification:
     """Sufficient-criteria classification of the subcategory generated by g.
 
     Fires, in order: big (a positive-rank class alongside a sphere-like
-    torsion class, or a positive-rank class in a c-twist-closed family);
-    quiver-like (the family is vertex-like); the torsion/torsion-free
-    split with vertex-like parts; otherwise undetermined.  Never asserts
-    a negative.
+    torsion class, the pair being the witnesses); quiver-like (the family
+    is vertex-like); the torsion/torsion-free split with vertex-like parts;
+    otherwise undetermined.  Never asserts a negative.
     """
     objs = [_validate(w, f) for f in g.objects]
     if not objs:
@@ -430,12 +425,6 @@ def classify_generated(w: WplData, g: Collection) -> Classification:
     spheres = [f for f in objs if is_sphere_like(w, f)]
     if bundles and spheres:
         return Classification(ClassifyKind.BIG, witnesses=(bundles[0], spheres[0]))
-    if bundles:
-        # condition (5) witness: the family is closed under the point-free
-        # action of c (grading +c on bundles, identity on torsion)
-        family = set(objs)
-        if all(_c_shift(w, f) in family for f in objs):
-            return Classification(ClassifyKind.BIG, witnesses=(bundles[0], None))
     if is_vertex_like(w, g):
         return Classification(ClassifyKind.QUIVER_LIKE, quiver=ext_quiver_of(w, g))
     torsion = Collection([f for f in objs if rank_of(f) == 0])

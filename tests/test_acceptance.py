@@ -10,9 +10,10 @@ import random
 import time
 from math import comb
 
+from test_serial import expected_factor_quiver, mapped_family_quiver
 from wpcalc import lgroup, nilrep, wpl
 from wpcalc.lgroup import Weights
-from wpcalc.quiver import ExtMatrix, Quiver, ext_quiver, same_multigraph
+from wpcalc.quiver import Quiver, same_multigraph
 from wpcalc.serial import (
     Arc,
     all_arcs,
@@ -173,41 +174,19 @@ def test_criterion_7_lemma_on_simples():
     _report(7, f"ext1(s_i, s_j) = #arrows(j -> i) on 50 random quivers ({checked} pairs)")
 
 
-def _expected_union_quiver(emb):
-    vertices, arrows = [], []
-    for fi, f in enumerate(emb.factors):
-        k = len(f.simple_images)
-        vertices.extend((fi, a) for a in range(k))
-        if f.cat.kind == "cycle":
-            arrows.extend(((fi, a), (fi, (a + 1) % k)) for a in range(k))
-        else:
-            arrows.extend(((fi, a), (fi, a + 1)) for a in range(k - 1))
-    return Quiver(vertices, arrows)
-
-
-def _mapped_quiver(emb):
-    labels, objects = [], []
-    for fi, f in enumerate(emb.factors):
-        for a, img in enumerate(f.simple_images):
-            labels.append((fi, a))
-            objects.append(img)
-    rows = [[dims(x, y).ext1 for y in objects] for x in objects]
-    return ext_quiver(ExtMatrix(labels, rows)), objects
-
-
 def test_criterion_8_perpendicular_recursion():
     for n in range(1, 6):
         for kind_arcs in (all_arcs(cycle(n)), all_arcs(line(n))):
             for e in kind_arcs:
                 emb = perp_arc(e)
-                q, objects = _mapped_quiver(emb)
+                q, objects = mapped_family_quiver(emb)
                 for i, x in enumerate(objects):
                     assert dims(x, x).hom == 1
                     assert dims(e, x) == (0, 0)
                     for j, y in enumerate(objects):
                         if i != j:
                             assert dims(x, y).hom == 0
-                assert same_multigraph(q, _expected_union_quiver(emb))
+                assert same_multigraph(q, expected_factor_quiver(emb))
     w = WplData(Weights([3, 3, 3, 3]))
     res = perp_exceptional_torsion(w, TorsionW(1, 1, 1))
     assert res.new_weights == Weights([2, 3, 3, 3])

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from wpcalc import linalg, nilrep
+from wpcalc import linalg, nilrep, serial
 from wpcalc.errors import (
     BoundExceeded,
     CategoryMismatch,
@@ -19,6 +19,7 @@ from wpcalc.serial import (
     MAX_LINE_RANK,
     Arc,
     ArcClass,
+    EmbeddedFactor,
     SerialCat,
     all_arcs,
     classify_arc,
@@ -566,6 +567,21 @@ class TestEnumerate:
                 enumerate_thick(cat)
             assert str(counted.value) == str(enumerated.value)
             assert f"capped at rank {cap}" in str(counted.value)
+
+    def test_no_perpendicular_recursion(self, monkeypatch):
+        # enumeration walks right masks in the category itself: it needs
+        # neither a perpendicular nor its embedding functor
+        def forbidden(*args):
+            raise AssertionError("perpendicular recursion in enumeration")
+
+        monkeypatch.setattr(serial, "perp_arc", forbidden)
+        monkeypatch.setattr(EmbeddedFactor, "embed", forbidden)
+        serial._index.cache_clear()
+        for n in range(1, MAX_CYCLE_RANK + 1):
+            assert count_thick(cycle(n)) == len(enumerate_thick(cycle(n))) == comb(2 * n, n)
+        for n in range(MAX_LINE_RANK + 1):
+            catalan = comb(2 * n + 2, n + 1) // (n + 2)
+            assert count_thick(line(n)) == len(enumerate_thick(line(n))) == catalan
 
     def test_deterministic_order(self):
         a = enumerate_thick(cycle(3))

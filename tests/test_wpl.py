@@ -692,3 +692,24 @@ class TestClassify:
     def test_ordinary_sphere_counts(self):
         g = Collection([O(W23), TorsionO("y", 1)])
         assert classify_generated(W23, g).kind == ClassifyKind.BIG
+
+    def test_every_big_carries_a_bundle_and_a_sphere(self):
+        # BIG fires exactly on a positive-rank class beside a sphere-like
+        # one, and names that pair as its witnesses
+        rng = random.Random(8)
+        bigs = 0
+        for w in (W2222, W3333, W23, WP1):
+            for _ in range(150):
+                family = random_classes(w, rng, rng.randint(1, 4))
+                res = classify_generated(w, Collection(family))
+                has_bundle = any(wpl.rank_of(f) > 0 for f in family)
+                has_sphere = any(is_sphere_like(w, f) for f in family)
+                assert (res.kind == ClassifyKind.BIG) == (has_bundle and has_sphere)
+                if res.kind != ClassifyKind.BIG:
+                    assert res.witnesses is None
+                    continue
+                bigs += 1
+                bundle, sphere = res.witnesses
+                assert bundle in family and wpl.rank_of(bundle) > 0
+                assert sphere in family and is_sphere_like(w, sphere)
+        assert bigs > 50
