@@ -96,15 +96,19 @@ def omega(w: Weights) -> LElement:
 
 
 _TERM = re.compile(r"([+-]?)(\d+)?(?:\*)?(c|x(\d+))?")
+_SPLIT_NUMBER = re.compile(r"\d\s+\d")
 
 
 def parse_element(w: Weights, text: str) -> LElement:
-    """Parse ``2c + x1 - 3x2`` style element syntax (whitespace-insensitive).
+    """Parse ``2c + x1 - 3x2`` style element syntax.
 
     A bare integer term contributes to the c coefficient, so ``0`` is the
-    zero element and ``3`` means 3c.
+    zero element and ``3`` means 3c.  Every term after the first starts
+    with ``+`` or ``-``; spaces are ignored except inside a number.
     """
     check_digit_runs(text)
+    if _SPLIT_NUMBER.search(text):
+        raise ParseError(f"whitespace inside a number in {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty grading-group element")
@@ -115,6 +119,8 @@ def parse_element(w: Weights, text: str) -> LElement:
         m = _TERM.match(s, pos)
         if not m or m.end() == pos:
             raise ParseError(f"cannot parse element near {s[pos:]!r} in {text!r}")
+        if pos and not m.group(1):
+            raise ParseError(f"missing + or - before {s[pos:]!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1
         coef = int(m.group(2)) if m.group(2) is not None else 1
         gen = m.group(3)

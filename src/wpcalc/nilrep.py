@@ -35,7 +35,7 @@ class Rep:
     treated as immutable after construction.
     """
 
-    def __init__(self, quiver: Quiver, dims, mats, check_nilpotent=True):
+    def __init__(self, quiver: Quiver, dims, mats):
         self.quiver = quiver
         self.dims = {v: 0 for v in quiver.vertices}
         for v, d in dict(dims).items():
@@ -59,7 +59,7 @@ class Rep:
             if len(m) != nrows or any(len(r) != ncols for r in m):
                 raise ValueError(f"matrix for arrow ({u!r},{v!r}) must be {nrows}x{ncols}")
             self.mats.append(linalg.exact_matrix(m, nrows, ncols))
-        if check_nilpotent and not self._is_nilpotent():
+        if not self._is_nilpotent():
             raise ValueError("representation is not nilpotent")
 
     def total_dim(self) -> int:
@@ -102,7 +102,7 @@ class Rep:
 
 
 def zero_rep(q: Quiver) -> Rep:
-    return Rep(q, {}, [[] for _ in q.arrows], check_nilpotent=False)
+    return Rep(q, {}, [[] for _ in q.arrows])
 
 
 def simple_rep(q: Quiver, v) -> Rep:
@@ -116,7 +116,7 @@ def simple_rep(q: Quiver, v) -> Rep:
             mats.append([[0]])
         else:
             mats.append([])
-    return Rep(q, dims, mats, check_nilpotent=False)
+    return Rep(q, dims, mats)
 
 
 def dim_vector(rep: Rep) -> dict:
@@ -142,7 +142,7 @@ def direct_sum(m: Rep, n: Rep) -> Rep:
             for j in range(n.dims[v]):
                 block[m.dims[u] + i][m.dims[v] + j] = n.mats[k][i][j]
         mats.append(block)
-    return Rep(q, dims, mats, check_nilpotent=False)
+    return Rep(q, dims, mats)
 
 
 def hom_dim(m: Rep, n: Rep) -> int:

@@ -16,12 +16,13 @@ lives in :mod:`wpcalc.nilrep` via :func:`realize`.
 Thick subcategories are enumerated as joins of one-arc closures.  Every
 thick subcategory here is admissible, so it is the join of the
 subcategories its member arcs generate, and its right orthogonal
-determines it (double orthogonality).  Each category keeps a bitset
-index of its arcs of length <= rank, with Hom/Ext-orthogonal and subarc
-masks as Python ints.  The right orthogonal of a join is the AND of the
-members' right masks, so the right orthogonals are exactly the ANDs of
-sets of arc right masks, and a closure is a few more mask ANDs.  Bit
-order is ``Arc`` order, so a mask lists its arcs sorted.
+determines it (double orthogonality).  Arcs of length <= rank are bits
+of Python ints, and Hom/Ext-orthogonal and subarc sets are masks.  The
+right orthogonal of a join is the AND of the members' right masks, so
+the right orthogonals are exactly the ANDs of sets of arc right masks,
+one per subcategory: counting collects them and closes nothing, and a
+closure is a few more mask ANDs.  Bit order is ``Arc`` order, so a mask
+lists its arcs sorted.
 """
 
 import re
@@ -93,12 +94,6 @@ class Arc(_ArcFields):
             if length > top:
                 raise InvalidArc(f"interval would leave the quiver: top {top}, length {length}")
         return tuple.__new__(cls, (cat, top, length))
-
-    def socle(self) -> int:
-        """Index of the bottom composition factor."""
-        if self.cat.kind == "cycle":
-            return (self.top - self.length + 1) % self.cat.rank
-        return self.top - self.length + 1
 
     def interval(self):
         """(low, high) vertex span; line arcs only."""
@@ -385,27 +380,25 @@ class _ArcIndex:
 
     Bit k stands for ``arcs[k]``; bit order is ``Arc`` order, so ascending
     bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k.
-    The right mask of arc k holds the arcs y with Hom(arc k, y) =
-    Ext^1(arc k, y) = 0, the left mask those with Hom(y, arc k) =
-    Ext^1(y, arc k) = 0; each is filled from ``dims`` the first time it is
-    asked for.
+    The right mask of an arc g holds the arcs y with Hom(g, y) =
+    Ext^1(g, y) = 0; it is read once per walk or generator, so it is not
+    kept.  The left mask of arc k holds the arcs y with Hom(y, arc k) =
+    Ext^1(y, arc k) = 0; every closure reads left masks, so each is filled
+    from ``dims`` the first time it is asked for and kept.  Counting
+    reads right masks only and closes nothing.
     """
 
     def __init__(self, cat: SerialCat):
         self.cat = cat
         self.arcs = sorted(all_arcs(cat))
-        self.bit = {a: k for k, a in enumerate(self.arcs)}
+        bit = {a: k for k, a in enumerate(self.arcs)}
         self.full = (1 << len(self.arcs)) - 1
-        self.sub = [sum(1 << self.bit[s] for s in _proper_subarcs(a)) for a in self.arcs]
-        self._right = [None] * len(self.arcs)
+        self.sub = [sum(1 << bit[s] for s in _proper_subarcs(a)) for a in self.arcs]
         self._left = [None] * len(self.arcs)
 
-    def right(self, k: int) -> int:
-        """Mask of the arcs right-orthogonal to arc k."""
-        if self._right[k] is None:
-            g = self.arcs[k]
-            self._right[k] = _zero_bits(dims(g, y) for y in self.arcs)
-        return self._right[k]
+    def right(self, g: Arc) -> int:
+        """Mask of the arcs right-orthogonal to g, an arc of any length."""
+        return _zero_bits(dims(g, y) for y in self.arcs)
 
     def left(self, k: int) -> int:
         """Mask of the arcs left-orthogonal to arc k."""
@@ -437,11 +430,6 @@ class _ArcIndex:
     def members(self, bits) -> tuple:
         """The arcs at the given bits."""
         return tuple(self.arcs[k] for k in bits)
-
-
-@lru_cache(maxsize=32)
-def _index(cat: SerialCat) -> _ArcIndex:
-    return _ArcIndex(cat)
 
 
 def _block_structure(cat: SerialCat, rel) -> Embedding:
@@ -494,25 +482,23 @@ def _build_desc(idx: _ArcIndex, sig: int) -> ThickDesc:
 
 def thick_closure(cat: SerialCat, gens) -> ThickDesc:
     """The thick subcategory generated by the given arcs."""
-    idx = _index(cat)
+    idx = _ArcIndex(cat)
     right = idx.full
     for g in gens:
         if g.cat != cat:
             raise CategoryMismatch(f"generator {g} is not in {cat}")
-        k = idx.bit.get(g)
-        # an arc longer than the rank has no bit: its mask is not cached
-        right &= idx.right(k) if k is not None else _zero_bits(dims(g, y) for y in idx.arcs)
+        right &= idx.right(g)
     return _build_desc(idx, idx.closure(right))
 
 
-def _enumerate_signatures(idx: _ArcIndex) -> set:
-    """All thick-subcategory signatures, one per right-orthogonal mask.
+def _right_orthogonals(idx: _ArcIndex) -> set:
+    """The right-orthogonal masks of all thick subcategories, one per subcategory.
 
-    The right orthogonals are the ANDs of sets of arc right masks.  Walk
-    them from ``full``, the zero subcategory's, by AND with one right
-    mask at a time; each state is one subcategory, closed once.
+    They are the ANDs of sets of arc right masks.  Walk them from
+    ``full``, the zero subcategory's, by AND with one right mask at a
+    time; no state is closed.
     """
-    rights = {idx.right(k) for k in range(len(idx.arcs))}
+    rights = {idx.right(g) for g in idx.arcs}
     seen = {idx.full}
     todo = [idx.full]
     while todo:
@@ -522,7 +508,7 @@ def _enumerate_signatures(idx: _ArcIndex) -> set:
             if joined not in seen:
                 seen.add(joined)
                 todo.append(joined)
-    return {idx.closure(right) for right in seen}
+    return seen
 
 
 def membership(t: ThickDesc, x: Arc) -> bool:
@@ -543,18 +529,18 @@ def _capped_index(cat: SerialCat) -> _ArcIndex:
         raise BoundExceeded(f"tube enumeration capped at rank {MAX_CYCLE_RANK}")
     if cat.kind == "line" and cat.rank > MAX_LINE_RANK:
         raise BoundExceeded(f"line enumeration capped at rank {MAX_LINE_RANK}")
-    return _index(cat)
+    return _ArcIndex(cat)
 
 
 def count_thick(cat: SerialCat) -> int:
-    """Number of thick subcategories; builds no descriptor."""
-    return len(_enumerate_signatures(_capped_index(cat)))
+    """Number of thick subcategories; closes none and builds no descriptor."""
+    return len(_right_orthogonals(_capped_index(cat)))
 
 
 def enumerate_thick(cat: SerialCat):
     """All thick subcategories of the serial category, canonically sorted."""
     idx = _capped_index(cat)
-    descs = [_build_desc(idx, sig) for sig in _enumerate_signatures(idx)]
+    descs = [_build_desc(idx, idx.closure(r)) for r in _right_orthogonals(idx)]
     return sorted(descs, key=lambda t: (len(t.signature), t.signature))
 
 

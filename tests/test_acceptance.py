@@ -11,6 +11,7 @@ import time
 from math import comb
 
 from test_serial import expected_factor_quiver, mapped_family_quiver
+from test_wpl import random_classes
 from wpcalc import lgroup, nilrep, wpl
 from wpcalc.lgroup import Weights
 from wpcalc.quiver import Quiver, same_multigraph
@@ -99,25 +100,6 @@ def test_criterion_4_dual_star_fixture():
     _report(4, "dual star family is vertex-like with 4-arm star Ext-quiver")
 
 
-def _random_classes(w, rng, count):
-    out = []
-    for _ in range(count):
-        choice = rng.randrange(3)
-        if choice == 0 or (choice == 2 and not w.ordinary):
-            a = rng.randint(-3, 3)
-            b = [rng.randrange(r) for r in w.weights.r]
-            out.append(LineBundle(lgroup.normalize(w.weights, a, b)))
-        elif choice == 1 and w.weights.p:
-            i = rng.randint(1, w.weights.p)
-            r = w.weights.r[i - 1]
-            out.append(TorsionW(i, rng.randrange(r), rng.randint(1, 2 * r)))
-        elif w.ordinary:
-            out.append(TorsionO(rng.choice(w.ordinary), rng.randint(1, 3)))
-        else:
-            out.append(LineBundle(lgroup.zero(w.weights)))
-    return out
-
-
 def test_criterion_5_serre_duality_suite():
     rng = random.Random(20240914)
     models = [
@@ -128,7 +110,7 @@ def test_criterion_5_serre_duality_suite():
     start = time.perf_counter()
     checked = 0
     for w in models:
-        classes = _random_classes(w, rng, 15)
+        classes = random_classes(w, rng, 15)
         for f, g in itertools.product(classes, classes):
             assert hom_ext(w, f, g).ext1 == hom_ext(w, g, tau_sheaf(w, f)).hom
             checked += 1

@@ -388,6 +388,12 @@ class TestErrors:
         assert code == 2
         assert "UnknownPoint" in err
 
+    def test_unsigned_or_split_terms_exit_2(self, capsys):
+        for literal in ("O(1 2)", "O(x1x2)", "O(cc)", "O(2c3x1)"):
+            code, out, err = run(capsys, "twist", "c", "x1", literal, "--weights", "2,3")
+            assert code == 2 and out == ""
+            assert len(err.strip().splitlines()) == 1 and "ParseError" in err
+
     def test_no_traceback_in_text_mode(self, capsys):
         code, out, err = run(capsys, "hom", "--weights", "2", "O(xx)", "O(0)")
         assert code == 2

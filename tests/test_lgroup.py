@@ -106,6 +106,12 @@ class TestParseFormat:
             parse_element(W3, "c+")
         with pytest.raises(ParseError):
             parse_element(W3, "")
+        # terms after the first need a sign; whitespace may not split a number
+        for text in ("1 2", "x1x2", "cc", "2c3x1"):
+            with pytest.raises(ParseError):
+                parse_element(W4, text)
+        assert parse_element(W4, "2c + x1 - 3x2") == normalize(W4, 2, [1, -3, 0, 0])
+        assert parse_element(W4, "2 x1") == normalize(W4, 0, [2, 0, 0, 0])
 
     def test_format_round_trip(self):
         for u in (zero(W4), omega(W4), normalize(W4, -3, [1, 1, 1, 1]), cbar(W4)):

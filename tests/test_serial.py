@@ -576,12 +576,23 @@ class TestEnumerate:
 
         monkeypatch.setattr(serial, "perp_arc", forbidden)
         monkeypatch.setattr(EmbeddedFactor, "embed", forbidden)
-        serial._index.cache_clear()
         for n in range(1, MAX_CYCLE_RANK + 1):
             assert count_thick(cycle(n)) == len(enumerate_thick(cycle(n))) == comb(2 * n, n)
         for n in range(MAX_LINE_RANK + 1):
             catalan = comb(2 * n + 2, n + 1) // (n + 2)
             assert count_thick(line(n)) == len(enumerate_thick(line(n))) == catalan
+
+    def test_count_closes_nothing(self, monkeypatch):
+        # distinct right orthogonals are one per subcategory, so counting
+        # needs no closure
+        def forbidden(*args):
+            raise AssertionError("closure while counting")
+
+        monkeypatch.setattr(serial._ArcIndex, "closure", forbidden)
+        for n in range(1, MAX_CYCLE_RANK + 1):
+            assert count_thick(cycle(n)) == comb(2 * n, n)
+        for n in range(MAX_LINE_RANK + 1):
+            assert count_thick(line(n)) == comb(2 * n + 2, n + 1) // (n + 2)
 
     def test_deterministic_order(self):
         a = enumerate_thick(cycle(3))
