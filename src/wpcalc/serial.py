@@ -22,7 +22,16 @@ right orthogonal of a join is the AND of the members' right masks, so
 the right orthogonals are exactly the ANDs of sets of arc right masks,
 one per subcategory: counting collects them and closes nothing, and a
 closure is a few more mask ANDs.  Bit order is ``Arc`` order, so a mask
-lists its arcs sorted.
+lists its arcs sorted, and masks sort like descriptors.
+
+The masks come from one zero table per category: entry (g, y) says
+whether Hom(g, y) and Ext^1(g, y) both vanish.  Its rows are the arcs'
+right masks, which the walk reads; its columns are the left masks, which
+closures read.  Enumeration calls ``dims`` once per ordered pair of arcs
+for the rows and fills every column by transposing them; a single
+``thick_closure`` reads few columns and fills only those, from ``dims``.
+Descriptors are built eagerly, from per-bit top and block-below arrays;
+``Arc`` values are made only for their output tuples.
 """
 
 import re
@@ -367,25 +376,30 @@ def _zero_bits(pairs) -> int:
     return sum(1 << k for k, he in enumerate(pairs) if he == (0, 0))
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list:
     """Positions of the set bits of a mask, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 class _ArcIndex:
     """Bitset view of the arcs of length <= rank of one category.
 
     Bit k stands for ``arcs[k]``; bit order is ``Arc`` order, so ascending
-    bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k.
-    The right mask of an arc g holds the arcs y with Hom(g, y) =
-    Ext^1(g, y) = 0; it is read once per walk or generator, so it is not
-    kept.  The left mask of arc k holds the arcs y with Hom(y, arc k) =
-    Ext^1(y, arc k) = 0; every closure reads left masks, so each is filled
-    from ``dims`` the first time it is asked for and kept.  Counting
-    reads right masks only and closes nothing.
+    bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k,
+    ``top[k]`` is its top and ``low[k]`` the top of the block directly
+    below it.  The zero table holds, for each ordered pair (g, y), whether
+    Hom(g, y) = Ext^1(g, y) = 0.  Row g is the right mask of g (the arcs
+    right-orthogonal to g); ``rows`` computes every row for the walk over
+    right orthogonals, and ``right`` one row, for an arc of any length.
+    Column k is the left mask of arc k (the arcs left-orthogonal to it):
+    enumeration fills every left mask by transposing the rows, and a
+    single closure fills from ``dims`` only the left masks it reads, in
+    ``left_of``.
     """
 
     def __init__(self, cat: SerialCat):
@@ -394,28 +408,51 @@ class _ArcIndex:
         bit = {a: k for k, a in enumerate(self.arcs)}
         self.full = (1 << len(self.arcs)) - 1
         self.sub = [sum(1 << bit[s] for s in _proper_subarcs(a)) for a in self.arcs]
+        self.top = [a.top for a in self.arcs]
+        if cat.kind == "cycle":
+            self.low = [(a.top - a.length) % cat.rank for a in self.arcs]
+        else:
+            self.low = [a.top - a.length for a in self.arcs]
+        self.lines = [line(m) for m in range(cat.rank + 1)]
+        self.cycles = [cycle(m) for m in range(1, cat.rank + 1)]
         self._left = [None] * len(self.arcs)
 
     def right(self, g: Arc) -> int:
         """Mask of the arcs right-orthogonal to g, an arc of any length."""
         return _zero_bits(dims(g, y) for y in self.arcs)
 
-    def left(self, k: int) -> int:
-        """Mask of the arcs left-orthogonal to arc k."""
-        if self._left[k] is None:
-            g = self.arcs[k]
-            self._left[k] = _zero_bits(dims(y, g) for y in self.arcs)
-        return self._left[k]
+    def rows(self) -> list:
+        """The right mask of every arc, by bit."""
+        return [self.right(g) for g in self.arcs]
 
-    def minimal(self, mask: int) -> list:
-        """Bits of the members with no proper member subarc: the relative simples."""
+    def fill_left(self, rows: list) -> None:
+        """Fill every left mask from ``rows``: bit y of column k is bit k of rows[y]."""
+        left = [0] * len(rows)
+        for y, row in enumerate(rows):
+            for k in _bits(row):
+                left[k] |= 1 << y
+        self._left = left
+
+    def minimal(self, mask: int, bits=None) -> list:
+        """Bits of the members with no proper member subarc: the relative simples.
+
+        ``bits``, if given, are the set bits of ``mask``.
+        """
         sub = self.sub
-        return [k for k in _bits(mask) if not sub[k] & mask]
+        return [k for k in (_bits(mask) if bits is None else bits) if not sub[k] & mask]
 
     def left_of(self, bits) -> int:
+        """Mask of the arcs left-orthogonal to every arc at the given bits.
+
+        A left mask not yet filled is filled from ``dims`` and kept.
+        """
         mask = self.full
+        left = self._left
         for k in bits:
-            mask &= self.left(k)
+            if left[k] is None:
+                g = self.arcs[k]
+                left[k] = _zero_bits(dims(y, g) for y in self.arcs)
+            mask &= left[k]
         return mask
 
     def closure(self, right: int) -> int:
@@ -429,55 +466,57 @@ class _ArcIndex:
 
     def members(self, bits) -> tuple:
         """The arcs at the given bits."""
-        return tuple(self.arcs[k] for k in bits)
+        return tuple(map(self.arcs.__getitem__, bits))
 
 
-def _block_structure(cat: SerialCat, rel) -> Embedding:
-    """Organize relative simples (sorted) into cycle/line factors by adjacency.
+def _block_structure(idx: _ArcIndex, rel: list) -> Embedding:
+    """Organize relative simples (ascending bits) into cycle/line factors by adjacency.
 
-    Block A sits directly below block B when A's top is one step below
-    B's socle.  Within an orthogonal family tops are distinct, so
-    ``below`` is a partial injection: the walks down from the blocks with
-    nothing above are the chains, and the blocks left over tile one cycle.
+    Block A sits directly below block B when A's top is B's ``low``, one
+    step below B's socle.  Within an orthogonal family tops are distinct,
+    so ``below`` is a partial injection: the walks down from the blocks
+    with nothing above are the chains, and the blocks left over tile one
+    cycle.  Chains sort by (-length, bits), which is (-rank, simple
+    images) because bit order is ``Arc`` order.
     """
-    n = cat.rank
-    by_top = {a.top: a for a in rel}
+    low = idx.low
+    by_top = {idx.top[k]: k for k in rel}
     assert len(by_top) == len(rel), "relative simples must have distinct tops"
-    below = {}
-    for a in rel:
-        b = by_top.get((a.top - a.length) % n if cat.kind == "cycle" else a.top - a.length)
-        if b is not None:
-            below[a] = b
+    below = {k: by_top[low[k]] for k in rel if low[k] in by_top}
     has_above = set(below.values())
     assert len(has_above) == len(below), "two blocks directly above one block"
 
     chains = []
-    for walk in ([a] for a in rel if a not in has_above):
+    in_chains = set()
+    for k in rel:
+        if k in has_above:
+            continue
+        walk = [k]
         while walk[-1] in below:
             walk.append(below[walk[-1]])
-        chains.append(EmbeddedFactor(line(len(walk)), tuple(reversed(walk))))
-    chains.sort(key=lambda f: (-f.cat.rank, f.simple_images))
-    in_chains = {a for f in chains for a in f.simple_images}
-    rest = [a for a in rel if a not in in_chains]
-    if not rest:
-        return Embedding(cat, tuple(chains))
-    walk = [min(rest)]
+        walk.reverse()
+        chains.append((-len(walk), walk))
+        in_chains.update(walk)
+    chains.sort()
+    factors = [EmbeddedFactor(idx.lines[len(w)], idx.members(w)) for _, w in chains]
+    if len(in_chains) == len(rel):
+        return Embedding(idx.cat, tuple(factors))
+    rest = [k for k in rel if k not in in_chains]
+    walk = [rest[0]]
     while below[walk[-1]] != walk[0]:
         walk.append(below[walk[-1]])
     assert len(walk) == len(rest), "two cycle factors cannot coexist"
     # walk is B_a, B_{a-1}, ...; reverse so images[k-1] is below images[k]
-    images = tuple(reversed(walk))
-    return Embedding(cat, (EmbeddedFactor(cycle(len(images)), images), *chains))
+    walk.reverse()
+    cycle_factor = EmbeddedFactor(idx.cycles[len(walk) - 1], idx.members(walk))
+    return Embedding(idx.cat, (cycle_factor, *factors))
 
 
-def _build_desc(idx: _ArcIndex, sig: int) -> ThickDesc:
-    rel_bits = idx.minimal(sig)
-    return ThickDesc(
-        cat=idx.cat,
-        signature=idx.members(_bits(sig)),
-        embedding=_block_structure(idx.cat, idx.members(rel_bits)),
-        left_orthogonal=idx.members(idx.minimal(idx.left_of(rel_bits))),
-    )
+def _build_desc(idx: _ArcIndex, mask: int, bits: list) -> ThickDesc:
+    """The descriptor of the closed member ``mask``, whose set bits are ``bits``."""
+    rel = idx.minimal(mask, bits)
+    left = idx.minimal(idx.left_of(rel))
+    return ThickDesc(idx.cat, idx.members(bits), _block_structure(idx, rel), idx.members(left))
 
 
 def thick_closure(cat: SerialCat, gens) -> ThickDesc:
@@ -488,19 +527,20 @@ def thick_closure(cat: SerialCat, gens) -> ThickDesc:
         if g.cat != cat:
             raise CategoryMismatch(f"generator {g} is not in {cat}")
         right &= idx.right(g)
-    return _build_desc(idx, idx.closure(right))
+    closed = idx.closure(right)
+    return _build_desc(idx, closed, _bits(closed))
 
 
-def _right_orthogonals(idx: _ArcIndex) -> set:
+def _right_orthogonals(full: int, rows: list) -> set:
     """The right-orthogonal masks of all thick subcategories, one per subcategory.
 
-    They are the ANDs of sets of arc right masks.  Walk them from
-    ``full``, the zero subcategory's, by AND with one right mask at a
-    time; no state is closed.
+    They are the ANDs of sets of arc right masks ``rows``.  Walk them
+    from ``full``, the zero subcategory's, by AND with one right mask at
+    a time; no state is closed.
     """
-    rights = {idx.right(g) for g in idx.arcs}
-    seen = {idx.full}
-    todo = [idx.full]
+    rights = set(rows)
+    seen = {full}
+    todo = [full]
     while todo:
         state = todo.pop()
         for r in rights:
@@ -534,14 +574,26 @@ def _capped_index(cat: SerialCat) -> _ArcIndex:
 
 def count_thick(cat: SerialCat) -> int:
     """Number of thick subcategories; closes none and builds no descriptor."""
-    return len(_right_orthogonals(_capped_index(cat)))
+    idx = _capped_index(cat)
+    return len(_right_orthogonals(idx.full, idx.rows()))
 
 
 def enumerate_thick(cat: SerialCat):
-    """All thick subcategories of the serial category, canonically sorted."""
+    """All thick subcategories of the serial category, canonically sorted.
+
+    The order is (number of members, sorted members); bit order is
+    ``Arc`` order, so the closed masks sort by (popcount, ascending bits)
+    before any descriptor is built.
+    """
     idx = _capped_index(cat)
-    descs = [_build_desc(idx, idx.closure(r)) for r in _right_orthogonals(idx)]
-    return sorted(descs, key=lambda t: (len(t.signature), t.signature))
+    rows = idx.rows()
+    idx.fill_left(rows)
+    closed = []
+    for mask in map(idx.closure, _right_orthogonals(idx.full, rows)):
+        bits = _bits(mask)
+        closed.append((len(bits), bits, mask))
+    closed.sort()
+    return [_build_desc(idx, mask, bits) for _, bits, mask in closed]
 
 
 def shape_of_thick(t: ThickDesc):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -520,6 +521,14 @@ class TestMembership:
                 assert {a for a in closed if a.length <= n} == set(t.signature)
 
 
+# every category enumeration accepts
+ENUM_CATS = [cycle(n) for n in range(1, MAX_CYCLE_RANK + 1)]
+ENUM_CATS += [line(n) for n in range(MAX_LINE_RANK + 1)]
+# sha256 over repr((t, t.relative_simples(), shape_of_thick(t))) of every
+# descriptor of ENUM_CATS, in enumeration order
+DESCRIPTOR_DIGEST = "26b516d4cff7f2cf09f89c66839ec26ceb530a2a40ba914ff7a3ba1734c3cdf1"
+
+
 class TestEnumerate:
     def test_counts_central_binomial(self):
         for n in range(1, 7):
@@ -606,15 +615,49 @@ class TestEnumerate:
         assert len(whole) == 1
         assert shape_of_thick(whole[0]) == (True, [])
 
+    def test_one_dims_call_per_pair(self, monkeypatch):
+        # enumeration reads one zero table: rows are right masks, columns
+        # (left masks) come by transposition, not by a second dims sweep
+        calls = 0
+        real_dims = serial.dims
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return real_dims(x, y)
+
+        monkeypatch.setattr(serial, "dims", counted)
+        for cat in ENUM_CATS:
+            calls = 0
+            enumerate_thick(cat)
+            assert calls == len(all_arcs(cat)) ** 2, cat
+        # a single closure fills only the left masks it reads
+        calls = 0
+        thick_closure(cycle(6), [Arc(cycle(6), 0, 2)])
+        assert calls < 36**2
+
+    def test_descriptors_pinned(self):
+        # pins every field of every enumerated descriptor, and their order
+        h = hashlib.sha256()
+        count = 0
+        for cat in ENUM_CATS:
+            for t in enumerate_thick(cat):
+                h.update(repr((t, t.relative_simples(), shape_of_thick(t))).encode())
+                count += 1
+        assert count == 8191
+        assert h.hexdigest() == DESCRIPTOR_DIGEST
+
     def test_membership_consistent_with_signature(self):
-        for t in enumerate_thick(cycle(3)):
-            members = {a for a in all_arcs(cycle(3)) if membership(t, a)}
-            assert members == set(t.signature)
+        for cat in ENUM_CATS:
+            arcs = all_arcs(cat)
+            for t in enumerate_thick(cat):
+                members = {a for a in arcs if membership(t, a)}
+                assert members == set(t.signature)
 
     def test_stored_embeddings_have_factor_ext_quivers(self):
         # the relative simples of every enumerated subcategory carry the
         # Ext-data of the disjoint union of their factors' defining quivers
-        for cat in (cycle(2), cycle(3), cycle(4), line(3), line(4)):
+        for cat in ENUM_CATS:
             for t in enumerate_thick(cat):
                 q, objects = mapped_family_quiver(t.embedding)
                 assert same_multigraph(q, expected_factor_quiver(t.embedding))
