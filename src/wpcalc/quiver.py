@@ -129,11 +129,6 @@ def is_acyclic(q: Quiver) -> bool:
     return True
 
 
-def has_strong_generator(q: Quiver) -> bool:
-    """True iff ``q`` is acyclic (finiteness is automatic here)."""
-    return is_acyclic(q)
-
-
 def is_connected(q: Quiver) -> bool:
     """Weak connectivity of the underlying undirected graph."""
     if not q.vertices:

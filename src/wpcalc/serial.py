@@ -18,20 +18,29 @@ thick subcategory here is admissible, so it is the join of the
 subcategories its member arcs generate, and its right orthogonal
 determines it (double orthogonality).  Arcs of length <= rank are bits
 of Python ints, and Hom/Ext-orthogonal and subarc sets are masks.  The
-right orthogonal of a join is the AND of the members' right masks, so
-the right orthogonals are exactly the ANDs of sets of arc right masks,
-one per subcategory: counting collects them and closes nothing, and a
-closure is a few more mask ANDs.  Bit order is ``Arc`` order, so a mask
-lists its arcs sorted, and masks sort like descriptors.
+right orthogonal of a join is the AND of the members' right masks.  The
+walk starts from the zero subcategory's right orthogonal (every arc) and
+ANDs each state only with the right masks of its own set bits, the arcs
+g in T^perp, which joins T with g; the states it reaches are the right
+orthogonals, one per subcategory.  Counting collects them and closes
+nothing.  The states are also the member masks: T^perp is thick, and
+every thick S is the right orthogonal of its left orthogonal.  So
+enumeration reads the signatures off the states, computes each state's
+relative simples once, and looks up a subcategory's left generators as
+the relative simples of the state that is its left orthogonal.  Bit order is ``Arc`` order, so a
+mask lists its arcs sorted, and masks sort like descriptors.
 
 The masks come from one zero table per category: entry (g, y) says
 whether Hom(g, y) and Ext^1(g, y) both vanish.  Its rows are the arcs'
 right masks, which the walk reads; its columns are the left masks, which
-closures read.  Enumeration calls ``dims`` once per ordered pair of arcs
-for the rows and fills every column by transposing them; a single
-``thick_closure`` reads few columns and fills only those, from ``dims``.
-Descriptors are built eagerly, from per-bit top and block-below arrays;
-``Arc`` values are made only for their output tuples.
+closures read.  On a line, enumeration calls ``dims`` once per ordered
+pair of arcs for the rows; on a rank-n tube, tau^-1 moves every bit by n,
+so ``dims`` runs only for the n arcs at top 0 (n^3 calls) and the other
+rows are rotations.  Every column is filled by transposing the rows; a
+single ``thick_closure`` reads few columns and fills only those, from
+``dims``.  Descriptors are built eagerly, their block structure from
+per-bit block-below and block-above masks; ``Arc`` values are made only
+for their output tuples.
 """
 
 import re
@@ -390,16 +399,20 @@ class _ArcIndex:
     """Bitset view of the arcs of length <= rank of one category.
 
     Bit k stands for ``arcs[k]``; bit order is ``Arc`` order, so ascending
-    bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k,
-    ``top[k]`` is its top and ``low[k]`` the top of the block directly
-    below it.  The zero table holds, for each ordered pair (g, y), whether
+    bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k;
+    ``below[k]`` masks the arcs whose top is one step below arc k's socle,
+    and ``above[k]`` the arcs whose socle sits one step below arc k's top.
+    The zero table holds, for each ordered pair (g, y), whether
     Hom(g, y) = Ext^1(g, y) = 0.  Row g is the right mask of g (the arcs
     right-orthogonal to g); ``rows`` computes every row for the walk over
-    right orthogonals, and ``right`` one row, for an arc of any length.
-    Column k is the left mask of arc k (the arcs left-orthogonal to it):
-    enumeration fills every left mask by transposing the rows, and a
-    single closure fills from ``dims`` only the left masks it reads, in
-    ``left_of``.
+    right orthogonals, and ``right`` one row, for an arc of any length.  On
+    a tube, bits run through the n lengths of one top and then the next,
+    so ``rows`` calls ``dims`` only for the n arcs at top 0 (n^3 calls)
+    and rotates their rows by n bits for each later top; a line's rows
+    take a ``dims`` call per ordered pair.  Column k is the left mask of
+    arc k (the arcs left-orthogonal to it): enumeration fills every left
+    mask by transposing the rows, and a single closure fills from
+    ``dims`` only the left masks it reads, in ``left_of``.
     """
 
     def __init__(self, cat: SerialCat):
@@ -408,11 +421,16 @@ class _ArcIndex:
         bit = {a: k for k, a in enumerate(self.arcs)}
         self.full = (1 << len(self.arcs)) - 1
         self.sub = [sum(1 << bit[s] for s in _proper_subarcs(a)) for a in self.arcs]
-        self.top = [a.top for a in self.arcs]
         if cat.kind == "cycle":
-            self.low = [(a.top - a.length) % cat.rank for a in self.arcs]
+            low = [(a.top - a.length) % cat.rank for a in self.arcs]
         else:
-            self.low = [a.top - a.length for a in self.arcs]
+            low = [a.top - a.length for a in self.arcs]
+        with_top, with_low = {}, {}
+        for k, a in enumerate(self.arcs):
+            with_top[a.top] = with_top.get(a.top, 0) | 1 << k
+            with_low[low[k]] = with_low.get(low[k], 0) | 1 << k
+        self.below = [with_top.get(t, 0) for t in low]
+        self.above = [with_low.get(a.top, 0) for a in self.arcs]
         self.lines = [line(m) for m in range(cat.rank + 1)]
         self.cycles = [cycle(m) for m in range(1, cat.rank + 1)]
         self._left = [None] * len(self.arcs)
@@ -423,7 +441,16 @@ class _ArcIndex:
 
     def rows(self) -> list:
         """The right mask of every arc, by bit."""
-        return [self.right(g) for g in self.arcs]
+        if self.cat.kind == "line":
+            return [self.right(g) for g in self.arcs]
+        # arc (t+1, l) is tau^-1 of (t, l), and tau^-1 moves every bit by n
+        n = self.cat.rank
+        size = n * n
+        rows = [self.right(g) for g in self.arcs[:n]]
+        for k in range(size - n):
+            r = rows[k]
+            rows.append((r << n | r >> (size - n)) & self.full)
+        return rows
 
     def fill_left(self, rows: list) -> None:
         """Fill every left mask from ``rows``: bit y of column k is bit k of rows[y]."""
@@ -472,50 +499,63 @@ class _ArcIndex:
 def _block_structure(idx: _ArcIndex, rel: list) -> Embedding:
     """Organize relative simples (ascending bits) into cycle/line factors by adjacency.
 
-    Block A sits directly below block B when A's top is B's ``low``, one
-    step below B's socle.  Within an orthogonal family tops are distinct,
-    so ``below`` is a partial injection: the walks down from the blocks
-    with nothing above are the chains, and the blocks left over tile one
-    cycle.  Chains sort by (-length, bits), which is (-rank, simple
-    images) because bit order is ``Arc`` order.
+    Block A sits directly below block B when A's top is one step below B's
+    socle, that is, A is in ``below[B]``.  Within an orthogonal family tops
+    are distinct, so each block has at most one block directly below it and
+    one directly above: the walks down from the blocks with nothing above
+    are the chains, and the blocks left over tile one cycle.  Chains sort
+    by (-length, bits), which is (-rank, simple images) because bit order
+    is ``Arc`` order.
     """
-    low = idx.low
-    by_top = {idx.top[k]: k for k in rel}
-    assert len(by_top) == len(rel), "relative simples must have distinct tops"
-    below = {k: by_top[low[k]] for k in rel if low[k] in by_top}
-    has_above = set(below.values())
-    assert len(has_above) == len(below), "two blocks directly above one block"
-
-    chains = []
-    in_chains = set()
+    below, above = idx.below, idx.above
+    family = 0
     for k in rel:
-        if k in has_above:
+        family |= 1 << k
+    chains = []
+    chained = 0
+    for k in rel:
+        over = above[k] & family
+        if over:
+            assert not over & (over - 1), "two blocks directly above one block"
             continue
         walk = [k]
-        while walk[-1] in below:
-            walk.append(below[walk[-1]])
+        under = below[k] & family
+        while under:
+            assert not under & (under - 1), "two blocks directly below one block"
+            j = under.bit_length() - 1
+            walk.append(j)
+            under = below[j] & family
         walk.reverse()
         chains.append((-len(walk), walk))
-        in_chains.update(walk)
+        chained += len(walk)
     chains.sort()
     factors = [EmbeddedFactor(idx.lines[len(w)], idx.members(w)) for _, w in chains]
-    if len(in_chains) == len(rel):
+    if chained == len(rel):
         return Embedding(idx.cat, tuple(factors))
-    rest = [k for k in rel if k not in in_chains]
-    walk = [rest[0]]
-    while below[walk[-1]] != walk[0]:
-        walk.append(below[walk[-1]])
-    assert len(walk) == len(rest), "two cycle factors cannot coexist"
+    rest = family
+    for _, walk in chains:
+        for k in walk:
+            rest ^= 1 << k
+    start = (rest & -rest).bit_length() - 1
+    walk = [start]
+    under = below[start] & family
+    while under != 1 << start:
+        assert under and not under & (under - 1), "two blocks directly below one block"
+        walk.append(under.bit_length() - 1)
+        under = below[walk[-1]] & family
+    assert len(walk) == len(rel) - chained, "two cycle factors cannot coexist"
     # walk is B_a, B_{a-1}, ...; reverse so images[k-1] is below images[k]
     walk.reverse()
     cycle_factor = EmbeddedFactor(idx.cycles[len(walk) - 1], idx.members(walk))
     return Embedding(idx.cat, (cycle_factor, *factors))
 
 
-def _build_desc(idx: _ArcIndex, mask: int, bits: list) -> ThickDesc:
-    """The descriptor of the closed member ``mask``, whose set bits are ``bits``."""
-    rel = idx.minimal(mask, bits)
-    left = idx.minimal(idx.left_of(rel))
+def _build_desc(idx: _ArcIndex, bits: list, rel: list, left: list) -> ThickDesc:
+    """The descriptor of the subcategory with member bits ``bits``.
+
+    ``rel`` are the bits of its relative simples and ``left`` those of the
+    relative simples of its left orthogonal, which generate that.
+    """
     return ThickDesc(idx.cat, idx.members(bits), _block_structure(idx, rel), idx.members(left))
 
 
@@ -528,25 +568,29 @@ def thick_closure(cat: SerialCat, gens) -> ThickDesc:
             raise CategoryMismatch(f"generator {g} is not in {cat}")
         right &= idx.right(g)
     closed = idx.closure(right)
-    return _build_desc(idx, closed, _bits(closed))
+    bits = _bits(closed)
+    rel = idx.minimal(closed, bits)
+    return _build_desc(idx, bits, rel, idx.minimal(idx.left_of(rel)))
 
 
-def _right_orthogonals(full: int, rows: list) -> set:
-    """The right-orthogonal masks of all thick subcategories, one per subcategory.
+def _right_orthogonals(full: int, rows: list) -> dict:
+    """The right-orthogonal masks of all thick subcategories, each with its set bits.
 
-    They are the ANDs of sets of arc right masks ``rows``.  Walk them
-    from ``full``, the zero subcategory's, by AND with one right mask at
-    a time; no state is closed.
+    Walk them from ``full``, the zero subcategory's.  A state is T^perp
+    for a thick T, and its set bits are the arcs g right-orthogonal to T;
+    ANDing it with g's right mask gives the right orthogonal of the
+    semiorthogonal join of T and g.  Every nonzero thick T' is such a
+    join of a smaller thick T with an arc of T' in T^perp, so these steps
+    reach every state; no state is closed.
     """
-    rights = set(rows)
-    seen = {full}
+    seen = {full: _bits(full)}
     todo = [full]
     while todo:
         state = todo.pop()
-        for r in rights:
-            joined = state & r
+        for k in seen[state]:
+            joined = state & rows[k]
             if joined not in seen:
-                seen.add(joined)
+                seen[joined] = _bits(joined)
                 todo.append(joined)
     return seen
 
@@ -581,19 +625,24 @@ def count_thick(cat: SerialCat) -> int:
 def enumerate_thick(cat: SerialCat):
     """All thick subcategories of the serial category, canonically sorted.
 
-    The order is (number of members, sorted members); bit order is
-    ``Arc`` order, so the closed masks sort by (popcount, ascending bits)
-    before any descriptor is built.
+    Every thick T is the right orthogonal of its left orthogonal, so the
+    walk's states are exactly the member masks, and each is a descriptor's
+    signature as it stands.  The relative simples are computed once per
+    state; T's left orthogonal is a state too, and its relative simples,
+    looked up, are T's left generators.  The order is (number of members,
+    sorted members); bit order is ``Arc`` order, so the states sort by
+    (popcount, ascending bits) before any descriptor is built.
     """
     idx = _capped_index(cat)
     rows = idx.rows()
     idx.fill_left(rows)
-    closed = []
-    for mask in map(idx.closure, _right_orthogonals(idx.full, rows)):
-        bits = _bits(mask)
-        closed.append((len(bits), bits, mask))
-    closed.sort()
-    return [_build_desc(idx, mask, bits) for _, bits, mask in closed]
+    states = _right_orthogonals(idx.full, rows)
+    rel = {mask: idx.minimal(mask, bits) for mask, bits in states.items()}
+    ordered = sorted((len(bits), bits, mask) for mask, bits in states.items())
+    return [
+        _build_desc(idx, bits, rel[mask], rel[idx.left_of(rel[mask])])
+        for _, bits, mask in ordered
+    ]
 
 
 def shape_of_thick(t: ThickDesc):

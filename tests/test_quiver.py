@@ -11,7 +11,7 @@ from wpcalc.quiver import (
     Quiver,
     SerreKind,
     ext_quiver,
-    has_strong_generator,
+    is_acyclic,
     quiver_from_json_dict,
     quiver_from_text,
     quiver_to_json_dict,
@@ -93,10 +93,10 @@ class TestExtQuiver:
 
 class TestPredicates:
     def test_strong_generator(self):
-        assert has_strong_generator(A3)
-        assert not has_strong_generator(Z2)
-        assert has_strong_generator(Quiver([1], []))
-        assert not has_strong_generator(LOOP)
+        assert is_acyclic(A3)
+        assert not is_acyclic(Z2)
+        assert is_acyclic(Quiver([1], []))
+        assert not is_acyclic(LOOP)
 
     def test_serre_class_finite_paths(self):
         assert serre_class(A3).kind == SerreKind.FINITE_PATHS
