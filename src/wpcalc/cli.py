@@ -55,7 +55,7 @@ def _read_config(path: str):
 
 def _model(args) -> wpl.WplData:
     weights = _weights_arg(args.weights or "")
-    ordinary = [t for t in (args.ordinary or "").split(",") if t]
+    ordinary = [t for t in (args.ordinary or "").split(",") if t.strip()]
     if getattr(args, "config", None):
         file_weights, file_ordinary = _read_config(args.config)
         if not args.weights:

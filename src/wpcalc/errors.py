@@ -34,10 +34,6 @@ class QuiverMismatch(InputError):
     pass
 
 
-class DisconnectedQuiver(InputError):
-    pass
-
-
 class NonNegativityViolation(InternalError):
     pass
 

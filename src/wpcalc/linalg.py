@@ -48,13 +48,6 @@ def zero_matrix(nrows, ncols) -> Matrix:
     return [[0] * ncols for _ in range(nrows)]
 
 
-def identity_matrix(n) -> Matrix:
-    m = zero_matrix(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
-
-
 def mat_mul(a, b) -> Matrix:
     n, k = len(a), len(b)
     p = len(b[0]) if b else 0

@@ -101,10 +101,6 @@ class Rep:
         return True
 
 
-def zero_rep(q: Quiver) -> Rep:
-    return Rep(q, {}, [[] for _ in q.arrows])
-
-
 def simple_rep(q: Quiver, v) -> Rep:
     """The simple module concentrated at vertex ``v``: all matrices zero."""
     if v not in q.vertices:
@@ -121,28 +117,6 @@ def simple_rep(q: Quiver, v) -> Rep:
 
 def dim_vector(rep: Rep) -> dict:
     return dict(rep.dims)
-
-
-def direct_sum(m: Rep, n: Rep) -> Rep:
-    if m.quiver != n.quiver:
-        raise QuiverMismatch("direct sum needs representations over the same quiver")
-    q = m.quiver
-    dims = {v: m.dims[v] + n.dims[v] for v in q.vertices}
-    mats = []
-    for k, (u, v) in enumerate(q.arrows):
-        rows, cols = dims[u], dims[v]
-        if rows == 0 or cols == 0:
-            mats.append([])
-            continue
-        block = linalg.zero_matrix(rows, cols)
-        for i in range(m.dims[u]):
-            for j in range(m.dims[v]):
-                block[i][j] = m.mats[k][i][j]
-        for i in range(n.dims[u]):
-            for j in range(n.dims[v]):
-                block[m.dims[u] + i][m.dims[v] + j] = n.mats[k][i][j]
-        mats.append(block)
-    return Rep(q, dims, mats)
 
 
 def hom_dim(m: Rep, n: Rep) -> int:

@@ -1,4 +1,4 @@
-"""Finite quivers and their combinatorial predicates.
+"""Finite quivers, Ext matrices and Ext-quivers.
 
 A quiver is a finite directed multigraph: an ordered tuple of distinct
 vertex ids plus a tuple of (source, target) arrows.  Parallel arrows and
@@ -11,12 +11,14 @@ Ext-quiver has ``M[j][i]`` arrows from ``i`` to ``j``.  In particular the
 Ext-quiver of the simple nilpotent modules of a quiver ``q`` is ``q``
 itself (arrow counting for simples goes the transposed way; see
 :func:`simple_ext_dims`).
+
+Quivers are written out, never read back: ``quiver_to_text`` and
+``quiver_to_json_dict`` format the ``extquiver`` and ``classify`` output.
 """
 
-from enum import Enum
 from typing import NamedTuple
 
-from .errors import DisconnectedQuiver, ParseError, UnknownVertex
+from .errors import ParseError, UnknownVertex
 
 
 class _QuiverFields(NamedTuple):
@@ -41,12 +43,6 @@ class Quiver(_QuiverFields):
     def arrow_count(self, src, dst):
         return sum(1 for s, t in self.arrows if s == src and t == dst)
 
-    def out_degree(self, v):
-        return sum(1 for s, _ in self.arrows if s == v)
-
-    def in_degree(self, v):
-        return sum(1 for _, t in self.arrows if t == v)
-
 
 class _ExtMatrixFields(NamedTuple):
     labels: tuple
@@ -66,17 +62,6 @@ class ExtMatrix(_ExtMatrixFields):
         if any(x < 0 for row in rows for x in row):
             raise ParseError("ext matrix entries must be non-negative")
         return tuple.__new__(cls, (ls, rows))
-
-
-class SerreKind(Enum):
-    FINITE_PATHS = "finite_paths"
-    CYCLE = "cycle"
-    NO_SERRE = "no_serre"
-
-
-class SerreClass(NamedTuple):
-    kind: SerreKind
-    cycle_length: int | None = None
 
 
 def simple_ext_dims(q: Quiver) -> ExtMatrix:
@@ -101,88 +86,7 @@ def ext_quiver(m: ExtMatrix) -> Quiver:
     return Quiver(m.labels, arrows)
 
 
-def is_acyclic(q: Quiver) -> bool:
-    """No directed cycles (loops count as cycles)."""
-    out = {v: [] for v in q.vertices}
-    for s, t in q.arrows:
-        out[s].append(t)
-    state = {v: 0 for v in q.vertices}  # 0 unseen, 1 on stack, 2 done
-    for root in q.vertices:
-        if state[root]:
-            continue
-        stack = [(root, iter(out[root]))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(out[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return True
-
-
-def is_connected(q: Quiver) -> bool:
-    """Weak connectivity of the underlying undirected graph."""
-    if not q.vertices:
-        return True
-    adj = {v: set() for v in q.vertices}
-    for s, t in q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    seen = {q.vertices[0]}
-    frontier = [q.vertices[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(q.vertices)
-
-
-def is_oriented_cycle(q: Quiver) -> bool:
-    """Is ``q`` the oriented cycle Z_n (n >= 1)?  Z_1 is a single loop."""
-    n = len(q.vertices)
-    if n == 0 or len(q.arrows) != n:
-        return False
-    if not is_connected(q):
-        return False
-    return all(q.out_degree(v) == 1 and q.in_degree(v) == 1 for v in q.vertices)
-
-
-def serre_class(q: Quiver) -> SerreClass:
-    """Serre-functor trichotomy for a connected finite quiver.
-
-    FinitePaths iff every vertex lies on only finitely many paths, which
-    for a finite quiver means acyclic; Cycle(n) iff the quiver is the
-    oriented cycle Z_n; NoSerre otherwise.  (The two-sided infinite line
-    case cannot occur for finite quivers.)
-    """
-    if not is_connected(q):
-        raise DisconnectedQuiver("serre_class requires a connected quiver")
-    if is_acyclic(q):
-        return SerreClass(SerreKind.FINITE_PATHS)
-    if is_oriented_cycle(q):
-        return SerreClass(SerreKind.CYCLE, len(q.vertices))
-    return SerreClass(SerreKind.NO_SERRE)
-
-
-# -- text / JSON formats -----------------------------------------------------
-
-
-def _parse_vertex_token(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
+# -- text / JSON output -------------------------------------------------------
 
 
 def quiver_to_text(q: Quiver) -> str:
@@ -191,41 +95,8 @@ def quiver_to_text(q: Quiver) -> str:
     return "\n".join(lines) + "\n"
 
 
-def quiver_from_text(text: str) -> Quiver:
-    vertices = None
-    arrows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("vertices:"):
-            if vertices is not None:
-                raise ParseError("duplicate 'vertices:' line")
-            vertices = [_parse_vertex_token(t) for t in line[len("vertices:"):].split()]
-        elif line.startswith("arrow:"):
-            toks = line[len("arrow:"):].split()
-            if len(toks) != 2:
-                raise ParseError(f"arrow line needs two endpoints: {line!r}")
-            arrows.append((_parse_vertex_token(toks[0]), _parse_vertex_token(toks[1])))
-        else:
-            raise ParseError(f"unrecognized quiver line: {line!r}")
-    if vertices is None:
-        raise ParseError("missing 'vertices:' line")
-    try:
-        return Quiver(vertices, arrows)
-    except UnknownVertex as exc:
-        raise ParseError(str(exc)) from exc
-
-
 def quiver_to_json_dict(q: Quiver) -> dict:
     return {"vertices": list(q.vertices), "arrows": [[s, t] for s, t in q.arrows]}
-
-
-def quiver_from_json_dict(data: dict) -> Quiver:
-    try:
-        return Quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad quiver JSON: {exc}") from exc
 
 
 def same_multigraph(a: Quiver, b: Quiver) -> bool:

@@ -151,12 +151,6 @@ def tau(a: Arc) -> Arc:
     return Arc(a.cat, (a.top - 1) % a.cat.rank, a.length)
 
 
-def tau_inv(a: Arc) -> Arc:
-    if a.cat.kind != "cycle":
-        raise NoTranslationForLine("tau is only defined on tube arcs")
-    return Arc(a.cat, (a.top + 1) % a.cat.rank, a.length)
-
-
 def _count_congruent(lo: int, hi: int, residue: int, n: int) -> int:
     """#{ j in [lo, hi] : j = residue mod n }."""
     if hi < lo:
@@ -269,24 +263,14 @@ class EmbeddedFactor(NamedTuple):
     ``simple_images[k]`` is the ambient arc standing for the abstract
     simple: residue k for a cycle factor, vertex k+1 for a line factor.
     The images are consecutive: the block for the abstract simple tau(s)
-    sits directly below the block for s.
+    sits directly below the block for s.  So the embedding functor sends
+    an abstract arc to the ambient arc that concatenates the blocks of its
+    composition factors, top block first; the engine never needs that
+    image.
     """
 
     cat: SerialCat
     simple_images: tuple  # of Arc
-
-    def embed(self, a: Arc) -> Arc:
-        """Ambient arc of an abstract arc of this factor (block concatenation)."""
-        if a.cat != self.cat:
-            raise CategoryMismatch(f"arc {a} is not in factor {self.cat}")
-        imgs = self.simple_images
-        s = len(imgs)
-        if self.cat.kind == "cycle":
-            blocks = [imgs[(a.top - i) % s] for i in range(a.length)]
-        else:
-            blocks = [imgs[a.top - 1 - i] for i in range(a.length)]
-        top_block = blocks[0]
-        return Arc(top_block.cat, top_block.top, sum(b.length for b in blocks))
 
 
 class Embedding(NamedTuple):

@@ -58,7 +58,8 @@ class WplData(_WplDataFields):
     def __new__(cls, weights, ordinary=()):
         if not isinstance(weights, Weights):
             weights = Weights(weights)
-        labels = tuple(sorted(str(y) for y in ordinary))
+        # parse_sheaf strips T(...) labels, so a padded label could not be named
+        labels = tuple(sorted(str(y).strip() for y in ordinary))
         if len(set(labels)) != len(labels):
             raise ParseError(f"duplicate ordinary labels in {labels}")
         for y in labels:
@@ -210,22 +211,17 @@ def _resolve_point(w: WplData, point):
         if not 1 <= point <= w.weights.p:
             raise UnknownPoint(f"no weighted point x{point}")
         return ("w", point)
-    check_digit_runs(str(point))
-    m = re.fullmatch(r"x(\d+)", str(point))
+    label = str(point).strip()
+    check_digit_runs(label)
+    m = re.fullmatch(r"x(\d+)", label)
     if m:
         i = int(m.group(1))
         if not 1 <= i <= w.weights.p:
             raise UnknownPoint(f"no weighted point x{i}")
         return ("w", i)
-    label = str(point)
     if label in w.ordinary:
         return ("o", label)
     raise UnknownPoint(f"unknown point {point!r}")
-
-
-def point_weight(w: WplData, point) -> int:
-    kind, key = _resolve_point(w, point)
-    return w.weight_of(key) if kind == "w" else 1
 
 
 def sigma_twist(w: WplData, point, f: SheafClass) -> SheafClass:

@@ -37,7 +37,6 @@ from wpcalc.wpl import (
     hom_ext,
     is_vertex_like,
     perp_exceptional_torsion,
-    point_weight,
     sigma_twist,
     star_collection,
     tau_sheaf,
@@ -186,11 +185,11 @@ def test_criterion_9_twist_identities():
                 r = rs[i - 1]
                 gens.extend(TorsionW(i, t, length) for t in range(r) for length in (1, r))
             gens.append(TorsionO("y", 1))
-            points = [f"x{i}" for i in range(1, p + 1)] + ["y"]
-            for point in points:
+            points = [(f"x{i}", rs[i - 1]) for i in range(1, p + 1)] + [("y", 1)]
+            for point, weight in points:
                 for f in gens:
                     g = f
-                    for _ in range(point_weight(w, point)):
+                    for _ in range(weight):
                         g = sigma_twist(w, point, g)
                     assert g == c_twist(w, point, f)
                     if wpl.rank_of(f) == 0:

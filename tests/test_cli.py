@@ -191,6 +191,21 @@ class TestCommands:
         assert code == 0
         assert out.strip() == "hom=2 ext1=0"
 
+    def test_padded_ordinary_labels(self, capsys, tmp_path):
+        # T(...) strips its label, so a declared label is stripped too
+        code, out, _ = run(capsys, "hom", "--ordinary", "y, z", "T(z)", "T(z)")
+        assert (code, out.strip()) == (0, "hom=1 ext1=1")
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"ordinary": [" z"]}))
+        code, out, _ = run(capsys, "hom", "--config", str(cfg), "T(z)", "T(z)")
+        assert (code, out.strip()) == (0, "hom=1 ext1=1")
+        # a blank entry is dropped like an empty one
+        code, out, _ = run(capsys, "hom", "--ordinary", "y, ,z", "T(z)", "T(y)")
+        assert (code, out.strip()) == (0, "hom=0 ext1=0")
+        # padding does not declare a second point
+        code, out, err = run(capsys, "hom", "--ordinary", "y,y ", "T(y)", "T(y)")
+        assert code == 2 and not out and "ParseError" in err
+
     def test_weight_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({"weights": [2, 2, 2, 2], "ordinary": ["y"]}))
@@ -502,3 +517,20 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
         if code == 2 and "--json" not in argv:
             assert out.getvalue() == ""
+
+
+def test_readme_layout_names_exist():
+    """Every backticked name in README's "Library layout" table exists in
+    the module of its row."""
+    import importlib
+    import re
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `(wpcalc\.\w+)` \| (.*) \|$", table, re.M)
+    modules = {f"wpcalc.{m}" for m in ("quiver", "nilrep", "linalg", "serial", "lgroup", "wpl", "cli")}
+    assert {m for m, _ in rows} == modules
+    for module, contents in rows:
+        mod = importlib.import_module(module)
+        for name in re.findall(r"`([^`]+)`", contents):
+            assert hasattr(mod, name), f"README lists {module}.{name}"

@@ -5,26 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpcalc import nilrep
-from wpcalc.errors import DisconnectedQuiver, ParseError, UnknownVertex
+from wpcalc.errors import UnknownVertex
 from wpcalc.quiver import (
     ExtMatrix,
     Quiver,
-    SerreKind,
     ext_quiver,
-    is_acyclic,
-    quiver_from_json_dict,
-    quiver_from_text,
     quiver_to_json_dict,
     quiver_to_text,
     same_multigraph,
-    serre_class,
     simple_ext_dims,
 )
 
 KRONECKER = Quiver([1, 2], [(1, 2), (1, 2)])
 LOOP = Quiver([1], [(1, 1)])
 A3 = Quiver([1, 2, 3], [(1, 2), (2, 3)])
-Z2 = Quiver([1, 2], [(1, 2), (2, 1)])
 Z3 = Quiver([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
 
 
@@ -91,87 +85,20 @@ class TestExtQuiver:
         assert q.arrows == (("x", "x"),)
 
 
-class TestPredicates:
-    def test_strong_generator(self):
-        assert is_acyclic(A3)
-        assert not is_acyclic(Z2)
-        assert is_acyclic(Quiver([1], []))
-        assert not is_acyclic(LOOP)
-
-    def test_serre_class_finite_paths(self):
-        assert serre_class(A3).kind == SerreKind.FINITE_PATHS
-
-    def test_serre_class_cycle(self):
-        sc = serre_class(Z3)
-        assert sc.kind == SerreKind.CYCLE and sc.cycle_length == 3
-        assert serre_class(LOOP) == serre_class(LOOP)
-        assert serre_class(LOOP).cycle_length == 1
-
-    def test_serre_class_chord(self):
-        # Z_2 plus a chord: infinitely many paths yet not a bare cycle
-        chord = Quiver([1, 2], [(1, 2), (2, 1), (1, 2)])
-        assert count_paths_is_finite(chord) is False
-        assert serre_class(chord).kind == SerreKind.NO_SERRE
-
-    def test_serre_class_requires_connected(self):
-        with pytest.raises(DisconnectedQuiver):
-            serre_class(Quiver([1, 2], []))
-
-    def test_finite_paths_agrees_with_enumeration(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            q = random_quiver(rng, max_vertices=4, max_arrows=5)
-            if not _connected(q):
-                continue
-            finite = count_paths_is_finite(q)
-            assert (serre_class(q).kind == SerreKind.FINITE_PATHS) == finite
-
-
-def _connected(q):
-    from wpcalc.quiver import is_connected
-
-    return is_connected(q)
-
-
-def count_paths_is_finite(q, cap=200):
-    """Independent oracle: enumerate paths breadth-first with a hard cap."""
-    paths = [[v] for v in q.vertices]
-    frontier = list(paths)
-    while frontier:
-        if len(paths) > cap:
-            return False
-        nxt = []
-        for p in frontier:
-            for s, t in q.arrows:
-                if s == p[-1]:
-                    nxt.append(p + [t])
-        paths.extend(nxt)
-        frontier = nxt
-    return True
-
-
 class TestFormats:
+    """The output formats are pinned exactly: no reader round-trips them."""
+
     def test_text_round_trip(self):
-        text = quiver_to_text(Z3)
-        assert quiver_from_text(text) == Z3
-        assert "vertices: 1 2 3" in text
+        assert quiver_to_text(Z3) == "vertices: 1 2 3\narrow: 1 2\narrow: 2 3\narrow: 3 1\n"
 
     def test_text_string_labels(self):
         q = Quiver(["O(0)", "S(1,1)"], [("O(0)", "S(1,1)")])
-        assert quiver_from_text(quiver_to_text(q)) == q
+        assert quiver_to_text(q) == "vertices: O(0) S(1,1)\narrow: O(0) S(1,1)\n"
+        assert quiver_to_text(Quiver([1], [])) == "vertices: 1\n"
 
     def test_json_round_trip(self):
-        data = quiver_to_json_dict(KRONECKER)
-        assert data == {"vertices": [1, 2], "arrows": [[1, 2], [1, 2]]}
-        assert quiver_from_json_dict(data) == KRONECKER
-
-    def test_parse_errors(self):
-        with pytest.raises(ParseError):
-            quiver_from_text("arrow: 1 2\n")
-        with pytest.raises(ParseError):
-            quiver_from_text("vertices: 1\narrow: 1\n")
-        with pytest.raises(ParseError):
-            quiver_from_text("vertices: 1\narrow: 1 2\n")
+        assert quiver_to_json_dict(KRONECKER) == {"vertices": [1, 2], "arrows": [[1, 2], [1, 2]]}
+        assert quiver_to_json_dict(LOOP) == {"vertices": [1], "arrows": [[1, 1]]}
 
 
 class TestValidation:

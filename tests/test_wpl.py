@@ -1,9 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from wpcalc import lgroup, wpl
+from test_serial import expected_factor_quiver, left_mask_states
+from wpcalc import lgroup, serial, wpl
+from wpcalc.cli import main
 from wpcalc.errors import (
     ModelMismatch,
     NotExceptionalTorsion,
@@ -13,7 +16,7 @@ from wpcalc.errors import (
     UnknownVertex,
 )
 from wpcalc.lgroup import LElement, Weights
-from wpcalc.quiver import ExtMatrix, Quiver, same_multigraph, serre_class
+from wpcalc.quiver import ExtMatrix, Quiver, same_multigraph
 from wpcalc.serial import cycle, enumerate_thick, shape_of_thick
 from wpcalc.wpl import (
     ClassifyKind,
@@ -70,6 +73,12 @@ def random_classes(w, rng, count):
     return out
 
 
+def by_position(q):
+    """The quiver with each vertex renamed to its position."""
+    pos = {v: k for k, v in enumerate(q.vertices)}
+    return Quiver(range(len(pos)), [(pos[s], pos[t]) for s, t in q.arrows])
+
+
 def graded_euler_oracle(w, L, t):
     """Hom(L, t) as the graded Euler sum over t's composition factors.
 
@@ -98,6 +107,18 @@ class TestModel:
             WplData(Weights([2]), ["17"])
         with pytest.raises(ParseError):
             WplData(Weights([2]), ["y", "y"])
+
+    def test_ordinary_labels_are_stripped(self):
+        # parse_sheaf strips the label inside T(...), so a declared label
+        # is stripped too, and padding cannot declare a second point
+        w = WplData(Weights([]), ["y", " z"])
+        assert w.ordinary == ("y", "z")
+        assert parse_sheaf(w, "T( z )") == TorsionO("z", 1)
+        assert sigma_twist(w, " z ", TorsionO("z", 1)) == TorsionO("z", 1)
+        with pytest.raises(ParseError):
+            WplData(Weights([2]), ["y", "y "])
+        with pytest.raises(ParseError):
+            WplData(Weights([2]), [" "])
 
     def test_parse_round_trip(self):
         for text in ("O(-c+x1+x2)", "S(1,1)", "S(2,2)[3]", "T(y)[2]", "O(0)"):
@@ -129,7 +150,6 @@ class TestValueTypes:
             (lam, "LElement(a=1, b=(1, 2))"),
             (q, "Quiver(vertices=(1, 2), arrows=((1, 2),))"),
             (ExtMatrix(["a", "b"], [[0, 1], [0, 0]]), "ExtMatrix(labels=('a', 'b'), ext1=((0, 1), (0, 0)))"),
-            (serre_class(q), "SerreClass(kind=<SerreKind.FINITE_PATHS: 'finite_paths'>, cycle_length=None)"),
             (W23, "WplData(weights=Weights(r=(2, 3)), ordinary=('y',))"),
             (LineBundle(lam), "LineBundle(lam=LElement(a=1, b=(1, 2)))"),
             (TorsionW(1, 1, 2), "TorsionW(i=1, top=1, length=2)"),
@@ -187,7 +207,6 @@ class TestValueTypes:
             (LElement(0, ()), "a"),
             (Quiver([1], []), "arrows"),
             (ExtMatrix([], []), "labels"),
-            (serre_class(Quiver([1], [])), "kind"),
             (W23, "ordinary"),
             (LineBundle(LElement(0, ())), "lam"),
             (TorsionW(1, 0, 1), "top"),
@@ -467,11 +486,12 @@ class TestTwists:
     def test_c_equals_sigma_iterated(self):
         rng = random.Random(6)
         for w in (W23, W2222, WP1):
-            points = [f"x{i}" for i in range(1, w.weights.p + 1)] + list(w.ordinary)
+            points = [(f"x{i}", r) for i, r in enumerate(w.weights.r, 1)]
+            points += [(y, 1) for y in w.ordinary]
             for f in random_classes(w, rng, 20):
-                for point in points:
+                for point, weight in points:
                     g = f
-                    for _ in range(wpl.point_weight(w, point)):
+                    for _ in range(weight):
                         g = sigma_twist(w, point, g)
                     assert g == c_twist(w, point, f)
 
@@ -584,6 +604,30 @@ class TestCollections:
         with pytest.raises(NotVertexLike):
             ext_quiver_of(W2222, Collection([O(W2222), O(W2222, "c")]))
 
+    def test_relative_simples_of_tube_subcategories(self):
+        # the relative simples of every nonzero thick subcategory of U(n),
+        # as torsion at a weight-n point, have the Ext-quiver of the
+        # disjoint union of the subcategory's factor quivers
+        checked = 0
+        for n in range(2, 7):
+            w = WplData(Weights([n]))
+            for t in enumerate_thick(cycle(n))[1:]:
+                family = Collection(TorsionW(1, a.top, a.length) for a in t.relative_simples())
+                got = by_position(ext_quiver_of(w, family))
+                assert same_multigraph(got, by_position(expected_factor_quiver(t.embedding)))
+                checked += 1
+        assert checked == 1267
+
+    def test_relative_simples_through_the_cli(self, capsys):
+        descs = enumerate_thick(cycle(4))
+        for t in (descs[1], descs[len(descs) // 2], descs[-1]):
+            literals = [str(TorsionW(1, a.top, a.length)) for a in t.relative_simples()]
+            assert main(["extquiver", "--weights", "4", *literals, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["vertices"] == literals
+            got = by_position(Quiver(doc["vertices"], doc["arrows"]))
+            assert same_multigraph(got, by_position(expected_factor_quiver(t.embedding)))
+
     def test_single_exceptional_simple(self):
         q = ext_quiver_of(W3333, Collection([TorsionW(1, 1, 1)]))
         assert q.arrows == ()
@@ -658,6 +702,20 @@ class TestCountBig:
         for r in range(2, 7):
             assert count_big(WplData(Weights([r]))) == factor[r]
         assert count_big(WplData(Weights([2, 3, 6]))) == factor[2] * factor[3] * factor[6]
+
+
+    def test_left_mask_walk_route(self):
+        # the per-point factor counts the left orthogonals of exceptional
+        # families in the tube U_r, which the left-mask walk reaches past
+        # the enumeration cap
+        factor = {r: len(left_mask_states(serial._ArcIndex(cycle(r)))) for r in range(2, 11)}
+        rng = random.Random(12)
+        for _ in range(25):
+            rs = [rng.randint(2, 10) for _ in range(rng.randint(1, 4))]
+            expected = 1
+            for r in rs:
+                expected *= factor[r]
+            assert count_big(WplData(Weights(rs))) == expected, rs
 
 
 class TestClassify:
