@@ -38,9 +38,13 @@ pair of arcs for the rows; on a rank-n tube, tau^-1 moves every bit by n,
 so ``dims`` runs only for the n arcs at top 0 (n^3 calls) and the other
 rows are rotations.  Every column is filled by transposing the rows; a
 single ``thick_closure`` reads few columns and fills only those, from
-``dims``.  Descriptors are built eagerly, their block structure from
-per-bit block-below and block-above masks; ``Arc`` values are made only
-for their output tuples.
+``dims``.  The index itself is arithmetic: bit(t, l) is t*n + l - 1 on
+U_n and t(t-1)/2 + l - 1 on A_n.  Descriptors are built eagerly, their
+block structure from per-bit block-below and block-above masks; ``Arc``
+values are made only for their output tuples.  An intern table on the
+index, keyed by the mask of a factor's blocks, makes each distinct chain
+or cycle factor once per enumeration or closure, and every descriptor
+that contains it shares it; no table outlives the call.
 """
 
 import re
@@ -356,14 +360,6 @@ def all_arcs(cat: SerialCat, max_length=None):
     ]
 
 
-def _proper_subarcs(a: Arc):
-    for j in range(1, a.length):
-        if a.cat.kind == "cycle":
-            yield Arc(a.cat, (a.top - a.length + j) % a.cat.rank, j)
-        else:
-            yield Arc(a.cat, a.top - a.length + j, j)
-
-
 def _zero_bits(pairs) -> int:
     """Mask of the positions where (Hom, Ext^1) vanishes."""
     return sum(1 << k for k, he in enumerate(pairs) if he == (0, 0))
@@ -401,23 +397,40 @@ class _ArcIndex:
 
     def __init__(self, cat: SerialCat):
         self.cat = cat
-        self.arcs = sorted(all_arcs(cat))
-        bit = {a: k for k, a in enumerate(self.arcs)}
-        self.full = (1 << len(self.arcs)) - 1
-        self.sub = [sum(1 << bit[s] for s in _proper_subarcs(a)) for a in self.arcs]
+        n = cat.rank
         if cat.kind == "cycle":
-            low = [(a.top - a.length) % cat.rank for a in self.arcs]
+            # bit(t, l) = t*n + l - 1; the lists are doubled, so they take the
+            # tops t-l and t+j below 0 and past n-1 without reducing mod n
+            first, height, reach = [t * n for t in range(n)] * 2, [n] * 2 * n, [n] * n
+            tops = range(n)
         else:
-            low = [a.top - a.length for a in self.arcs]
-        with_top, with_low = {}, {}
-        for k, a in enumerate(self.arcs):
-            with_top[a.top] = with_top.get(a.top, 0) | 1 << k
-            with_low[low[k]] = with_low.get(low[k], 0) | 1 << k
-        self.below = [with_top.get(t, 0) for t in low]
-        self.above = [with_low.get(a.top, 0) for a in self.arcs]
+            # bit(t, l) = t(t-1)/2 + l - 1; top t has t lengths, top 0 none
+            first = [t * (t - 1) // 2 for t in range(n + 1)]
+            height, reach, tops = range(n + 1), [n - t for t in range(n + 1)], range(1, n + 1)
+        self.arcs = [Arc(cat, t, l) for t in tops for l in range(1, height[t] + 1)]
+        self.full = (1 << len(self.arcs)) - 1
+        self.sub, self.below, self.above = [], [], []
+        for _, t, l in self.arcs:
+            # arc (t, l) has the proper subarcs (t-l+j, j), the arcs at top
+            # t-l directly below it and the arcs (t+j, j) directly above
+            self.sub.append(sum(1 << first[t - l + j] + j - 1 for j in range(1, l)))
+            self.below.append((1 << height[t - l]) - 1 << first[t - l])
+            self.above.append(sum(1 << first[t + j] + j - 1 for j in range(1, reach[t] + 1)))
         self.lines = [line(m) for m in range(cat.rank + 1)]
         self.cycles = [cycle(m) for m in range(1, cat.rank + 1)]
+        # (sort key, factor) by the mask of the factor's blocks; a chain's
+        # blocks never close up into a cycle, so one table holds both kinds
+        self.factors = {}
         self._left = [None] * len(self.arcs)
+
+    def factor(self, cat: SerialCat, walk: list) -> tuple:
+        """(sort key, factor ``cat`` whose simples are the arcs at ``walk``).
+
+        ``walk`` runs from the bottom block up.  Disjoint chains of one
+        length differ in their bottom block, so the key, which orders by
+        (-length, bottom block), sorts chains by (-length, bits).
+        """
+        return walk[0] - len(walk) * len(self.arcs), EmbeddedFactor(cat, self.members(walk))
 
     def right(self, g: Arc) -> int:
         """Mask of the arcs right-orthogonal to g, an arc of any length."""
@@ -489,49 +502,49 @@ def _block_structure(idx: _ArcIndex, rel: list) -> Embedding:
     one directly above: the walks down from the blocks with nothing above
     are the chains, and the blocks left over tile one cycle.  Chains sort
     by (-length, bits), which is (-rank, simple images) because bit order
-    is ``Arc`` order.
+    is ``Arc`` order.  A factor is looked up by the mask of its blocks and
+    made only the first time the index meets it.
     """
-    below, above = idx.below, idx.above
+    below, above, interned = idx.below, idx.above, idx.factors
     family = 0
     for k in rel:
         family |= 1 << k
     chains = []
-    chained = 0
+    rest = family
     for k in rel:
         over = above[k] & family
         if over:
             assert not over & (over - 1), "two blocks directly above one block"
             continue
-        walk = [k]
+        walk, chain = [k], 1 << k
         under = below[k] & family
         while under:
             assert not under & (under - 1), "two blocks directly below one block"
-            j = under.bit_length() - 1
-            walk.append(j)
-            under = below[j] & family
-        walk.reverse()
-        chains.append((-len(walk), walk))
-        chained += len(walk)
+            walk.append(under.bit_length() - 1)
+            chain |= under
+            under = below[walk[-1]] & family
+        rest ^= chain
+        if chain not in interned:
+            walk.reverse()
+            interned[chain] = idx.factor(idx.lines[len(walk)], walk)
+        chains.append(interned[chain])
     chains.sort()
-    factors = [EmbeddedFactor(idx.lines[len(w)], idx.members(w)) for _, w in chains]
-    if chained == len(rel):
+    factors = [f for _, f in chains]
+    if not rest:
         return Embedding(idx.cat, tuple(factors))
-    rest = family
-    for _, walk in chains:
-        for k in walk:
-            rest ^= 1 << k
-    start = (rest & -rest).bit_length() - 1
-    walk = [start]
-    under = below[start] & family
-    while under != 1 << start:
-        assert under and not under & (under - 1), "two blocks directly below one block"
-        walk.append(under.bit_length() - 1)
-        under = below[walk[-1]] & family
-    assert len(walk) == len(rel) - chained, "two cycle factors cannot coexist"
-    # walk is B_a, B_{a-1}, ...; reverse so images[k-1] is below images[k]
-    walk.reverse()
-    cycle_factor = EmbeddedFactor(idx.cycles[len(walk) - 1], idx.members(walk))
-    return Embedding(idx.cat, (cycle_factor, *factors))
+    if rest not in interned:
+        start = (rest & -rest).bit_length() - 1
+        walk = [start]
+        under = below[start] & family
+        while under != 1 << start:
+            assert under and not under & (under - 1), "two blocks directly below one block"
+            walk.append(under.bit_length() - 1)
+            under = below[walk[-1]] & family
+        assert len(walk) == rest.bit_count(), "two cycle factors cannot coexist"
+        # walk is B_a, B_{a-1}, ...; reverse so images[k-1] is below images[k]
+        walk.reverse()
+        interned[rest] = idx.factor(idx.cycles[len(walk) - 1], walk)
+    return Embedding(idx.cat, (interned[rest][1], *factors))
 
 
 def _build_desc(idx: _ArcIndex, bits: list, rel: list, left: list) -> ThickDesc:
@@ -622,10 +635,12 @@ def enumerate_thick(cat: SerialCat):
     idx.fill_left(rows)
     states = _right_orthogonals(idx.full, rows)
     rel = {mask: idx.minimal(mask, bits) for mask, bits in states.items()}
-    ordered = sorted((len(bits), bits, mask) for mask, bits in states.items())
+    ordered = sorted(states, key=states.__getitem__)
+    ordered.sort(key=int.bit_count)  # stable: ties keep the order of their bits
+    # a state's bit list serves only its signature: drop it once read
     return [
-        _build_desc(idx, bits, rel[mask], rel[idx.left_of(rel[mask])])
-        for _, bits, mask in ordered
+        _build_desc(idx, states.pop(mask), rel[mask], rel[idx.left_of(rel[mask])])
+        for mask in ordered
     ]
 
 

@@ -63,7 +63,9 @@ class WplData(_WplDataFields):
         if len(set(labels)) != len(labels):
             raise ParseError(f"duplicate ordinary labels in {labels}")
         for y in labels:
-            if not y or y.isdigit() or re.fullmatch(r"x\d+", y):
+            if not y:
+                raise ParseError("empty ordinary label")
+            if y.isdigit() or re.fullmatch(r"x\d+", y):
                 raise ParseError(
                     f"ordinary label {y!r} clashes with weighted-point addressing"
                 )

@@ -392,6 +392,15 @@ class TestErrors:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "ParseError" in err
 
+    @pytest.mark.parametrize("label", ["", " "])
+    def test_empty_ordinary_label_exit_2(self, capsys, tmp_path, label):
+        # the label is stripped first, so a blank one is empty too
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"weights": [2], "ordinary": [label]}))
+        code, out, err = run(capsys, "hom", "--config", str(cfg), "O(0)", "O(0)")
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == ["error [ParseError]: empty ordinary label"]
+
     def test_input_error_exit_2(self, capsys):
         code, out, err = run(capsys, "tube", "enumerate", "9")
         assert code == 2

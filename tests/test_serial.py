@@ -560,14 +560,47 @@ def all_rows_walk(full, rows):
     return seen
 
 
-def left_mask_states(idx):
-    """The states of the walk that ANDs with left masks of exceptional arcs.
+def _proper_subarcs(a):
+    for j in range(1, a.length):
+        if a.cat.kind == "cycle":
+            yield Arc(a.cat, (a.top - a.length + j) % a.cat.rank, j)
+        else:
+            yield Arc(a.cat, a.top - a.length + j, j)
 
-    It starts from the whole category and ANDs each state with the left
-    mask of every exceptional arc in it, which leaves the left orthogonal
-    of that arc inside the state.  The states are the left orthogonals of
-    exceptional families: a second route to the counts, by left masks
-    where the engine walks right masks.
+
+def arc_index_oracle(cat):
+    """(arcs, sub, below, above) of the bit index, built from ``Arc`` values.
+
+    The oracle for the index's arithmetic: bits number the sorted
+    ``all_arcs`` through a dict, subarcs are made as arcs and looked up,
+    and the block-below and block-above masks collect the arcs by top and
+    by the vertex one step below the socle.
+    """
+    arcs = sorted(all_arcs(cat))
+    bit = {a: k for k, a in enumerate(arcs)}
+    sub = [sum(1 << bit[s] for s in _proper_subarcs(a)) for a in arcs]
+    if cat.kind == "cycle":
+        low = [(a.top - a.length) % cat.rank for a in arcs]
+    else:
+        low = [a.top - a.length for a in arcs]
+    with_top, with_low = {}, {}
+    for k, a in enumerate(arcs):
+        with_top[a.top] = with_top.get(a.top, 0) | 1 << k
+        with_low[low[k]] = with_low.get(low[k], 0) | 1 << k
+    below = [with_top.get(t, 0) for t in low]
+    above = [with_low.get(a.top, 0) for a in arcs]
+    return arcs, sub, below, above
+
+
+def exceptional_sequences(idx):
+    """Memoized DFS over left-mask states from the whole category: {state: (count, lengths)}.
+
+    A sequence (E_1, ..., E_r) is exceptional when its arcs are exceptional
+    and Hom and Ext^1 from E_j to E_i vanish for j > i: E_1 is an
+    exceptional arc of the state, and (E_2, ..., E_r) an exceptional
+    sequence of the state ANDed with E_1's left mask.  ``count`` is the
+    number of sequences of a state that no arc extends at the end, and
+    ``lengths`` the set of their lengths.
     """
     rows = idx.rows()
     idx.fill_left(rows)
@@ -576,20 +609,36 @@ def left_mask_states(idx):
     for k, a in enumerate(idx.arcs):
         if classify_arc(a) == ArcClass.EXCEPTIONAL:
             exceptional |= 1 << k
-    seen = {idx.full}
-    todo = [idx.full]
-    while todo:
-        state = todo.pop()
-        for k in serial._bits(state & exceptional):
-            joined = state & left[k]
-            if joined not in seen:
-                seen.add(joined)
-                todo.append(joined)
-    return seen
+    memo = {}
+
+    def visit(state):
+        if state not in memo:
+            count, lengths = 0, set()
+            for k in serial._bits(state & exceptional):
+                c, ls = visit(state & left[k])
+                count += c
+                lengths |= {length + 1 for length in ls}
+            memo[state] = (count, lengths) if lengths else (1, {0})
+        return memo[state]
+
+    visit(idx.full)
+    return memo
+
+
+def left_mask_states(idx):
+    """The states of ``exceptional_sequences``'s walk.
+
+    Each step leaves the left orthogonal of an exceptional arc inside the
+    state, so the states are the left orthogonals of exceptional families:
+    a second route to the counts, by left masks where the engine walks
+    right masks.
+    """
+    return set(exceptional_sequences(idx))
 
 
 class TestWalk:
     WALK_CATS = ENUM_CATS + [cycle(MAX_CYCLE_RANK + 1), line(MAX_LINE_RANK + 1)]
+    INDEX_CATS = [cycle(n) for n in range(1, 11)] + [line(n) for n in range(11)]
 
     @pytest.mark.parametrize("cat", WALK_CATS, ids=str)
     def test_in_state_walk_matches_all_rows_walk(self, cat):
@@ -598,6 +647,11 @@ class TestWalk:
         states = serial._right_orthogonals(idx.full, rows)
         assert set(states) == all_rows_walk(idx.full, rows)
         assert all(bits == serial._bits(state) for state, bits in states.items())
+
+    @pytest.mark.parametrize("cat", INDEX_CATS, ids=str)
+    def test_arithmetic_index_matches_arc_oracle(self, cat):
+        idx = serial._ArcIndex(cat)
+        assert (idx.arcs, idx.sub, idx.below, idx.above) == arc_index_oracle(cat)
 
     def test_rotated_tube_rows_match_per_pair_rows(self):
         for n in range(1, 9):
@@ -759,6 +813,15 @@ class TestEnumerate:
         assert count == 8191
         assert h.hexdigest() == DESCRIPTOR_DIGEST
 
+    def test_factors_made_once(self):
+        # every distinct factor value is one object, which all descriptors
+        # containing it share
+        for cat in ENUM_CATS:
+            factors = [f for t in enumerate_thick(cat) for f in t.embedding.factors]
+            assert len({id(f) for f in factors}) == len(set(factors)), cat
+            if cat == line(8):
+                assert (len(factors), len(set(factors))) == (11440, 502)
+
     def test_membership_consistent_with_signature(self):
         for cat in ENUM_CATS:
             arcs = all_arcs(cat)
@@ -784,6 +847,38 @@ class TestEnumerate:
             for t in enumerate_thick(cat):
                 regen = thick_closure(cat, t.relative_simples())
                 assert regen.signature == t.signature
+
+
+class TestPaperChecks:
+    def test_complete_exceptional_sequences(self):
+        # complete exceptional sequences number (n+1)^(n-1) in A_n and n^(n-1)
+        # in U_n, and every sequence no arc extends at the end has full
+        # length (n in A_n, n-1 in U_n): each is part of a complete one
+        for cat in ENUM_CATS:
+            n = cat.rank
+            idx = serial._ArcIndex(cat)
+            memo = exceptional_sequences(idx)
+            if cat.kind == "line":
+                full, expected = n, (n + 1) ** (n - 1)
+            else:
+                full, expected = n - 1, n ** (n - 1)
+            assert memo[idx.full] == (expected, {full}), cat
+
+    def test_relative_simples_are_a_basis_of_the_members(self):
+        # Jordan-Hoelder and no phantoms: the dimension vectors of the
+        # relative simples are independent, and every member's lies in their span
+        count = 0
+        for cat in ENUM_CATS:
+            vector = {}
+            for a in all_arcs(cat):
+                dv = nilrep.dim_vector(realize(a))
+                vector[a] = [dv[v] for v in sorted(dv)]
+            for t in enumerate_thick(cat):
+                simples = [vector[a] for a in t.relative_simples()]
+                assert linalg.rank(simples) == len(simples), t
+                assert linalg.rank(simples + [vector[a] for a in t.signature]) == len(simples), t
+                count += 1
+        assert count == 8191
 
 
 class TestShapes:
