@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals, on Python ints.
 
-Small dense routines, enough for the intertwiner solves in
-:mod:`wpcalc.nilrep`.  A matrix is a list of rows whose entries are
-``int`` wherever they are integral and ``fractions.Fraction`` only where
-the denominator is not 1 (:func:`exact_matrix` puts entries in this
-form).  :func:`rank` clears each row's denominators once, which does not
-change the rank, and then eliminates fraction-free on int rows.  No
-pivoting heuristics and no modular or floating-point shortcut: the
-matrices here are tiny and the arithmetic is exact.
+Just enough for the intertwiner solves in :mod:`wpcalc.nilrep`.  A
+matrix is a list of rows whose entries are ``int`` wherever they are
+integral and ``fractions.Fraction`` only where the denominator is not 1
+(:func:`exact_matrix` puts entries in this form).  :func:`rank` works on
+sparse rows, so its cost follows the nonzero entries: it clears each
+row's denominators once, which does not change the rank, and then
+eliminates fraction-free on int rows.  No pivoting heuristics and no
+modular or floating-point shortcut: the systems here are tiny and the
+arithmetic is exact.
 """
 
 from fractions import Fraction
@@ -27,21 +28,6 @@ def exact(x):
 def exact_matrix(rows, nrows, ncols) -> Matrix:
     """Copy ``rows`` into a fresh nrows x ncols matrix of exact entries."""
     return [[exact(rows[i][j]) for j in range(ncols)] for i in range(nrows)]
-
-
-def integral_rows(rows) -> list:
-    """Each row times the lcm of its denominators: int rows of the same rank.
-
-    A row of ints is passed through as it is, not copied.
-    """
-    out = []
-    for row in rows:
-        dens = [x.denominator for x in row if type(x) is not int]
-        if dens:
-            d = lcm(*dens)
-            row = [x.numerator * (d // x.denominator) for x in row]
-        out.append(row)
-    return out
 
 
 def zero_matrix(nrows, ncols) -> Matrix:
@@ -70,44 +56,52 @@ def is_zero_matrix(a) -> bool:
 
 
 def rank(rows) -> int:
-    """Rank over Q by fraction-free elimination on integral rows.
+    """Rank over Q by sparse, fraction-free elimination.
 
-    Row i below the pivot row r becomes ``a·row_i − b·row_r`` with
-    ``a/b`` the reduced ratio pivot/entry, then is divided by its
-    content (the gcd of its entries), so entries stay small.  Entries
-    are ints or Fractions.
+    Each row is a ``{column: entry}`` dict or a dense list; entries are
+    ints or Fractions, and ``rows`` is left unchanged.  A row, once its
+    denominators are cleared, is reduced against the pivot rows kept so
+    far, keyed by their leading (smallest) column: ``a·row − b·pivot``,
+    with ``a/b`` the reduced ratio of the two leading entries, clears
+    the row's leading entry.  A row left nonzero becomes a pivot row,
+    divided by its content (the gcd of its entries) so entries stay
+    small.
     """
-    m = [row for row in integral_rows(rows) if any(row)]
-    nrows = len(m)
-    if nrows == 0:
-        return 0
-    r = 0
-    for c in range(len(m[0])):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pr = m[r]
-        pv = pr[c]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f == 0:
-                continue
+    pivots = {}
+    for row in rows:
+        items = row.items() if type(row) is dict else enumerate(row)
+        r = {c: x for c, x in items if x}
+        for x in r.values():
+            if type(x) is not int:
+                d = lcm(*[x.denominator for x in r.values()])
+                r = {c: x.numerator * (d // x.denominator) for c, x in r.items()}
+                break
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*r.values())
+                pivots[lead] = {c: x // g for c, x in r.items()} if g > 1 else r
+                break
+            pv, f = pivot[lead], r[lead]
             g = gcd(pv, f)
             a, b = pv // g, f // g
-            row = [a * x - b * y for x, y in zip(m[i], pr)]
-            g = gcd(*row)
-            m[i] = [x // g for x in row] if g > 1 else row
-        r += 1
-        if r == nrows:
-            break
-    return r
+            if a != 1:
+                r = {c: a * x for c, x in r.items()}
+            for c, y in pivot.items():
+                x = r.get(c, 0) - b * y
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 def kernel_dimension(rows, ncols) -> int:
     """Dimension of the solution space of the homogeneous system ``rows``.
 
-    ``rows`` is a list of coefficient rows of length ``ncols``; an empty
-    list means no constraints.
+    ``rows`` is a list of coefficient rows over columns ``0..ncols-1``,
+    sparse or dense as :func:`rank` takes them; an empty list means no
+    constraints.
     """
     return ncols - rank(rows)

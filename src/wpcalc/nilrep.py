@@ -30,7 +30,8 @@ class Rep:
     """A nilpotent representation: dims per vertex, matrix per arrow.
 
     ``mats[k]`` belongs to ``quiver.arrows[k] = (u, v)`` and has shape
-    ``(dims[u], dims[v])`` (right action, fiber at v -> fiber at u).
+    ``(dims[u], dims[v])`` (right action, fiber at v -> fiber at u);
+    ``nonzeros[k]`` lists its nonzero entries as ``(i, j, entry)``.
     Entries are normalized once, to ints where integral; values are
     treated as immutable after construction.
     """
@@ -43,22 +44,28 @@ class Rep:
                 raise UnknownVertex(f"dimension given for unknown vertex {v!r}")
             if d < 0:
                 raise ValueError(f"negative dimension at {v!r}")
+            if d % 1:
+                raise ValueError(f"non-integral dimension {d!r} at {v!r}")
             self.dims[v] = int(d)
         mats = list(mats)
         if len(mats) != len(quiver.arrows):
             raise ValueError("need one matrix per arrow")
         self.mats = []
+        self.nonzeros = []
         for (u, v), m in zip(quiver.arrows, mats):
             nrows, ncols = self.dims[u], self.dims[v]
             if nrows == 0 or ncols == 0:
-                self.mats.append([])
-                continue
-            if not m:
-                self.mats.append(linalg.zero_matrix(nrows, ncols))
-                continue
-            if len(m) != nrows or any(len(r) != ncols for r in m):
+                m = []
+            elif not m:
+                m = linalg.zero_matrix(nrows, ncols)
+            elif len(m) != nrows or any(len(r) != ncols for r in m):
                 raise ValueError(f"matrix for arrow ({u!r},{v!r}) must be {nrows}x{ncols}")
-            self.mats.append(linalg.exact_matrix(m, nrows, ncols))
+            else:
+                m = linalg.exact_matrix(m, nrows, ncols)
+            self.mats.append(m)
+            self.nonzeros.append(
+                [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+            )
         if not self._is_nilpotent():
             raise ValueError("representation is not nilpotent")
 
@@ -74,10 +81,9 @@ class Rep:
             offset[v] = pos
             pos += self.dims[v]
         big = linalg.zero_matrix(n, n)
-        for (u, v), m in zip(self.quiver.arrows, self.mats):
-            for i in range(self.dims[u]):
-                for j in range(self.dims[v]):
-                    big[offset[u] + i][offset[v] + j] += m[i][j]
+        for (u, v), nonzeros in zip(self.quiver.arrows, self.nonzeros):
+            for i, j, x in nonzeros:
+                big[offset[u] + i][offset[v] + j] += x
         return big
 
     def _is_nilpotent(self) -> bool:
@@ -124,40 +130,40 @@ def hom_dim(m: Rep, n: Rep) -> int:
 
     Unknowns are the vertex maps phi_v : m-fiber(v) -> n-fiber(v); each
     arrow ``a: u -> v`` contributes the equations
-    ``phi_u . A_m = A_n . phi_v`` where ``A`` is the arrow matrix.
+    ``phi_u . A_m = A_n . phi_v`` where ``A`` is the arrow matrix.  The
+    equation at entry ``(r, c)`` is a sparse ``{unknown: coefficient}``
+    row built from the nonzeros alone: ``A_m[s][c]`` puts ``+A_m[s][c]``
+    on ``phi_u[r][s]`` for every ``r``, and ``A_n[r][s]`` puts
+    ``-A_n[r][s]`` on ``phi_v[s][c]`` for every ``c``.
     """
     if m.quiver != n.quiver:
         raise QuiverMismatch("hom_dim needs representations over the same quiver")
     q = m.quiver
-    var_offset = {}
+    # phi_v has shape (n.dims[v], m.dims[v]), row-major from offset[v]
+    offset = {}
     nvars = 0
     for v in q.vertices:
-        var_offset[v] = nvars
+        offset[v] = nvars
         nvars += n.dims[v] * m.dims[v]
-
-    def var_index(v, row, col):
-        # phi_v has shape (n.dims[v], m.dims[v]), row-major
-        return var_offset[v] + row * m.dims[v] + col
-
+    if nvars == 0:
+        return 0
     rows = []
     for k, (u, v) in enumerate(q.arrows):
-        am, an = m.mats[k], n.mats[k]
-        # equation block: (n.dims[u] x m.dims[v]) entries
-        for r in range(n.dims[u]):
-            for c in range(m.dims[v]):
-                row = [0] * nvars
-                # (phi_u . am)[r][c] = sum_s phi_u[r][s] am[s][c]
-                for s in range(m.dims[u]):
-                    coef = am[s][c]
-                    if coef:
-                        row[var_index(u, r, s)] += coef
-                # -(an . phi_v)[r][c] = -sum_s an[r][s] phi_v[s][c]
-                for s in range(n.dims[v]):
-                    coef = an[r][s]
-                    if coef:
-                        row[var_index(v, s, c)] -= coef
-                if any(row):
-                    rows.append(row)
+        m_nonzeros, n_nonzeros = m.nonzeros[k], n.nonzeros[k]
+        if not (m_nonzeros or n_nonzeros):
+            continue
+        nu, mu, mv = n.dims[u], m.dims[u], m.dims[v]
+        ou, ov = offset[u], offset[v]
+        eqs = {}  # r * mv + c -> row of the equation at entry (r, c)
+        for s, c, coef in m_nonzeros:
+            for r in range(nu):
+                eqs.setdefault(r * mv + c, {})[ou + r * mu + s] = coef
+        for r, s, coef in n_nonzeros:
+            for c in range(mv):
+                row = eqs.setdefault(r * mv + c, {})
+                col = ov + s * mv + c
+                row[col] = row.get(col, 0) - coef  # a loop (u == v) can hit a column twice
+        rows += eqs.values()
     return linalg.kernel_dimension(rows, nvars)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,56 @@ def fraction_rank_oracle(rows):
     return r
 
 
+def integral_rows(rows) -> list:
+    """Each row times the lcm of its denominators: int rows of the same rank.
+
+    A row of ints is passed through as it is, not copied.
+    """
+    out = []
+    for row in rows:
+        dens = [x.denominator for x in row if type(x) is not int]
+        if dens:
+            d = lcm(*dens)
+            row = [x.numerator * (d // x.denominator) for x in row]
+        out.append(row)
+    return out
+
+
+def dense_rank_oracle(rows):
+    """Rank by dense fraction-free elimination on integral rows, column by
+    column: the route that ``linalg.rank``'s sparse elimination replaced.
+
+    Row i below the pivot row r becomes ``a·row_i − b·row_r`` with
+    ``a/b`` the reduced ratio pivot/entry, then is divided by its
+    content.
+    """
+    m = [row for row in integral_rows(rows) if any(row)]
+    nrows = len(m)
+    if nrows == 0:
+        return 0
+    r = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pr = m[r]
+        pv = pr[c]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            if f == 0:
+                continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            row = [a * x - b * y for x, y in zip(m[i], pr)]
+            g = gcd(*row)
+            m[i] = [x // g for x in row] if g > 1 else row
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 ENTRIES = st.one_of(
     st.integers(-3, 3),
     st.integers(-(10**6), 10**6),
@@ -65,8 +116,32 @@ def matrices(draw):
 @given(matrices())
 def test_rank_matches_fraction_oracle(rows):
     before = [list(r) for r in rows]
-    assert linalg.rank(rows) == fraction_rank_oracle(rows)
+    assert linalg.rank(rows) == fraction_rank_oracle(rows) == dense_rank_oracle(rows)
     assert rows == before  # rank works on a copy
+
+
+@st.composite
+def sparse_rows(draw):
+    """The rows of ``matrices()`` as ``{column: entry}`` dicts with keys in
+    a shuffled column order, each keeping a random part of its zero
+    entries; some rows are empty dicts.  Returns (sparse rows, dense rows)."""
+    dense = draw(matrices())
+    ncols = len(dense[0]) if dense else 0
+    cols = draw(st.permutations(range(ncols)))
+    sparse = []
+    for row in dense:
+        keep = draw(st.integers(0, 2**ncols - 1))
+        sparse.append({c: row[c] for c in cols if row[c] or keep >> c & 1})
+    return sparse, dense
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_rows())
+def test_rank_on_sparse_rows(rows):
+    sparse, dense = rows
+    before = [dict(r) for r in sparse]
+    assert linalg.rank(sparse) == fraction_rank_oracle(dense)
+    assert [list(r.items()) for r in sparse] == [list(r.items()) for r in before]
 
 
 def test_rank_fixed_cases():
@@ -81,6 +156,9 @@ def test_rank_fixed_cases():
     assert linalg.rank([[big, big + 1], [big - 1, big]]) == 2
     assert linalg.rank([[big, big + 1], [2 * big, 2 * big + 2]]) == 1
     assert linalg.kernel_dimension([], 3) == 3
+    assert linalg.rank([{}, {2: 0}]) == 0
+    assert linalg.rank([{3: half, 0: Fraction(1, 3)}, {0: 2, 3: 3}]) == 1
+    assert linalg.kernel_dimension([{1: 1, 0: -1}, {}], 3) == 2
 
 
 def test_exact_entries():
@@ -93,4 +171,4 @@ def test_exact_entries():
 
 def test_integral_rows_scale_each_row():
     rows = [[Fraction(1, 2), Fraction(1, 3), 1], [Fraction(2, 1), 0, -1]]
-    assert linalg.integral_rows(rows) == [[3, 2, 6], [2, 0, -1]]
+    assert integral_rows(rows) == [[3, 2, 6], [2, 0, -1]]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_serial
+from test_linalg import dense_rank_oracle
 from wpcalc import linalg, nilrep, serial
 from wpcalc.errors import NonNegativityViolation, QuiverMismatch, UnknownVertex
 from wpcalc.quiver import Quiver
@@ -44,6 +46,15 @@ class TestConstruction:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             nilrep.Rep(A2, {1: 1, 2: 1}, [[[1, 2]]])
+
+    def test_non_integral_dimension(self):
+        loop = Quiver((0,), ((0, 0),))
+        for d in (1.7, Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                nilrep.Rep(loop, {0: d}, [[]])
+        for d in (2, Fraction(4, 2), 2.0):
+            r = nilrep.Rep(loop, {0: d}, [[]])
+            assert r.dims == {0: 2} and type(r.dims[0]) is int
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
@@ -87,6 +98,85 @@ class TestHomDim:
     def test_quiver_mismatch(self):
         with pytest.raises(QuiverMismatch):
             nilrep.hom_dim(nilrep.simple_rep(A2, 1), nilrep.simple_rep(A3, 1))
+
+
+def dense_hom_dim_oracle(m, n):
+    """Hom dimension from dense equation rows, filled by loops over whole
+    arrow matrices and eliminated column by column (``dense_rank_oracle``):
+    the route that ``nilrep.hom_dim``'s sparse build replaced."""
+    q = m.quiver
+    var_offset = {}
+    nvars = 0
+    for v in q.vertices:
+        var_offset[v] = nvars
+        nvars += n.dims[v] * m.dims[v]
+
+    def var_index(v, row, col):
+        # phi_v has shape (n.dims[v], m.dims[v]), row-major
+        return var_offset[v] + row * m.dims[v] + col
+
+    rows = []
+    for k, (u, v) in enumerate(q.arrows):
+        am, an = m.mats[k], n.mats[k]
+        for r in range(n.dims[u]):
+            for c in range(m.dims[v]):
+                row = [0] * nvars
+                # (phi_u . am)[r][c] = sum_s phi_u[r][s] am[s][c]
+                for s in range(m.dims[u]):
+                    coef = am[s][c]
+                    if coef:
+                        row[var_index(u, r, s)] += coef
+                # -(an . phi_v)[r][c] = -sum_s an[r][s] phi_v[s][c]
+                for s in range(n.dims[v]):
+                    coef = an[r][s]
+                    if coef:
+                        row[var_index(v, s, c)] -= coef
+                if any(row):
+                    rows.append(row)
+    return nvars - dense_rank_oracle(rows)
+
+
+class TestDenseOracle:
+    def test_realized_arcs(self):
+        # each arc conjugated by a random invertible integer matrix at every
+        # vertex, so rows are dense and rational
+        rng = random.Random(14)
+        cats = [(cycle(n), 2 * n) for n in range(1, 5)]
+        cats += [(line(n), None) for n in range(7)]
+        pairs = 0
+        for cat, max_length in cats:
+            arcs = serial.all_arcs(cat, max_length)
+            reps = [test_serial._base_change(rng, realize(a)) for a in arcs]
+            for x in reps:
+                for y in reps:
+                    assert nilrep.hom_dim(x, y) == dense_hom_dim_oracle(x, y)
+                    pairs += 1
+        assert pairs == 2_228
+
+    def test_random_reps(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            x = _diagonal_base_change(random_cycle_rep(rng, n), TestRationalEntries.SCALARS)
+            y = random_cycle_rep(rng, n)
+            assert nilrep.hom_dim(x, y) == dense_hom_dim_oracle(x, y)
+            assert nilrep.hom_dim(y, x) == dense_hom_dim_oracle(y, x)
+
+    def test_rep_not_isomorphic_to_its_negative(self):
+        # two loops acting as J and J^2 (J a 3x3 Jordan block): no base
+        # change negates both, so a sign slip between the two sides of
+        # phi . A_m = A_n . phi shows
+        q = Quiver((0,), ((0, 0), (0, 0)))
+        j = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        j2 = [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+        x = nilrep.Rep(q, {0: 3}, [j, j2])
+        neg = nilrep.Rep(q, {0: 3}, [[[-e for e in row] for row in m] for m in (j, j2)])
+        assert (nilrep.hom_dim(x, x), nilrep.hom_dim(x, neg)) == (3, 2)
+        rng = random.Random(7)
+        reps = [x, neg, test_serial._base_change(rng, x), test_serial._base_change(rng, neg)]
+        for a in reps:
+            for b in reps:
+                assert nilrep.hom_dim(a, b) == dense_hom_dim_oracle(a, b)
 
 
 class TestEulerForm:
