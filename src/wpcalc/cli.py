@@ -283,88 +283,102 @@ def _cmd_star(args):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+_CLASS_PAIR = [_arg("f"), _arg("g")]
+_OBJECTS = [_arg("objects", nargs="+")]
+_ENUMERATE = [
+    _arg("action", choices=["enumerate"]),
+    _arg("rank", type=int),
+    _arg("--count", action="store_true", help="print only the count"),
+]
+
+# name -> (handler, help, takes the model flags, further arguments)
+COMMANDS = {
+    "hom": (_cmd_hom, "Hom and Ext^1 dimensions between two classes", True, _CLASS_PAIR),
+    "euler": (_cmd_euler, "Euler pairing hom - ext1", True, _CLASS_PAIR),
+    "tau": (_cmd_tau, "Serre translate of a class", True, [_arg("f")]),
+    "twist": (
+        _cmd_twist,
+        "sigma or c twist at a point",
+        True,
+        [
+            _arg("functor", choices=["sigma", "c"]),
+            _arg("point", help="x<i> for a weighted point, else an ordinary label"),
+            _arg("f"),
+        ],
+    ),
+    "top": (
+        _cmd_top,
+        "m-step top of O(<element>) at a point",
+        True,
+        [_arg("point"), _arg("element"), _arg("m", type=int)],
+    ),
+    "extquiver": (_cmd_extquiver, "Ext-quiver of a vertex-like collection", True, _OBJECTS),
+    "check": (
+        _cmd_check,
+        "test a collection property",
+        True,
+        [_arg("property", choices=["exceptional", "vertexlike"])] + _OBJECTS,
+    ),
+    "perp": (
+        _cmd_perp,
+        "perpendicular of a serial arc or torsion class",
+        True,
+        [_arg("target", help="U(n):arc(top,len), A(n):arc(i,j), or a sheaf literal")],
+    ),
+    "tube": (lambda a: _cmd_enumerate(a, "cycle"), "tube thick subcategories", False, _ENUMERATE),
+    "line": (lambda a: _cmd_enumerate(a, "line"), "A_n thick subcategories", False, _ENUMERATE),
+    "count-big": (_cmd_count_big, "number of big subcategories", True, []),
+    "classify": (
+        _cmd_classify,
+        "classify the subcategory generated by classes",
+        True,
+        _OBJECTS,
+    ),
+    "canonical": (_cmd_canonical, "the canonical line-bundle collection", True, []),
+    "star": (
+        _cmd_star,
+        "star subcollection and its dual torsion family",
+        True,
+        [_arg("--tops", default="", help="comma-separated arm lengths b1,...,bp")],
+    ),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The ``wpc`` parser with every subcommand, or with ``only`` that one.
+
+    With ``only``, the usage line still lists every command, so a
+    top-level error (an unrecognized argument) reads the same.
+    """
     parser = argparse.ArgumentParser(
         prog="wpc",
         description="Hom/Ext tables and thick-subcategory combinatorics for "
         "tubes, linear quivers and weighted projective lines",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}",
+    )
+    for name in COMMANDS if only is None else [only]:
+        fn, help_text, model_flags, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         p.set_defaults(fn=fn)
-        return p
-
-    p = cmd("hom", _cmd_hom, help="Hom and Ext^1 dimensions between two classes")
-    _add_model_flags(p)
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = cmd("euler", _cmd_euler, help="Euler pairing hom - ext1")
-    _add_model_flags(p)
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = cmd("tau", _cmd_tau, help="Serre translate of a class")
-    _add_model_flags(p)
-    p.add_argument("f")
-
-    p = cmd("twist", _cmd_twist, help="sigma or c twist at a point")
-    _add_model_flags(p)
-    p.add_argument("functor", choices=["sigma", "c"])
-    p.add_argument("point", help="x<i> for a weighted point, else an ordinary label")
-    p.add_argument("f")
-
-    p = cmd("top", _cmd_top, help="m-step top of O(<element>) at a point")
-    _add_model_flags(p)
-    p.add_argument("point")
-    p.add_argument("element")
-    p.add_argument("m", type=int)
-
-    p = cmd("extquiver", _cmd_extquiver, help="Ext-quiver of a vertex-like collection")
-    _add_model_flags(p)
-    p.add_argument("objects", nargs="+")
-
-    p = cmd("check", _cmd_check, help="test a collection property")
-    _add_model_flags(p)
-    p.add_argument("property", choices=["exceptional", "vertexlike"])
-    p.add_argument("objects", nargs="+")
-
-    p = cmd("perp", _cmd_perp, help="perpendicular of a serial arc or torsion class")
-    _add_model_flags(p)
-    p.add_argument("target", help="U(n):arc(top,len), A(n):arc(i,j), or a sheaf literal")
-
-    p = cmd("tube", lambda a: _cmd_enumerate(a, "cycle"), help="tube thick subcategories")
-    p.add_argument("action", choices=["enumerate"])
-    p.add_argument("rank", type=int)
-    p.add_argument("--count", action="store_true", help="print only the count")
-
-    p = cmd("line", lambda a: _cmd_enumerate(a, "line"), help="A_n thick subcategories")
-    p.add_argument("action", choices=["enumerate"])
-    p.add_argument("rank", type=int)
-    p.add_argument("--count", action="store_true", help="print only the count")
-
-    p = cmd("count-big", _cmd_count_big, help="number of big subcategories")
-    _add_model_flags(p)
-
-    p = cmd("classify", _cmd_classify, help="classify the subcategory generated by classes")
-    _add_model_flags(p)
-    p.add_argument("objects", nargs="+")
-
-    p = cmd("canonical", _cmd_canonical, help="the canonical line-bundle collection")
-    _add_model_flags(p)
-
-    p = cmd("star", _cmd_star, help="star subcollection and its dual torsion family")
-    _add_model_flags(p)
-    p.add_argument("--tops", default="", help="comma-separated arm lengths b1,...,bp")
-
+        if model_flags:
+            _add_model_flags(p)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         args.fn(args)

@@ -34,27 +34,6 @@ def zero_matrix(nrows, ncols) -> Matrix:
     return [[0] * ncols for _ in range(nrows)]
 
 
-def mat_mul(a, b) -> Matrix:
-    n, k = len(a), len(b)
-    p = len(b[0]) if b else 0
-    out = zero_matrix(n, p)
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            x = ai[t]
-            if x == 0:
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(p):
-                oi[j] += x * bt[j]
-    return out
-
-
-def is_zero_matrix(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def rank(rows) -> int:
     """Rank over Q by sparse, fraction-free elimination.
 

@@ -12,7 +12,11 @@ defect formula is valid for every finite quiver as long as both inputs
 are nilpotent: the nilpotent finite-dimensional modules form a Serre
 subcategory of all modules, which is hereditary, so the Euler pairing on
 classes of simples determines the full pairing and Ext^2 vanishes.
-Nilpotency is enforced when a Rep is constructed.
+Nilpotency is enforced when a Rep is constructed: the total action,
+held as sparse rows of its nonzero entries, is squared until it
+vanishes or its exponent reaches the total dimension.  ``hom_ext1``
+takes the Euler term straight from the two reps' ``dims``, with no copy
+and no key check; :func:`euler_form` checks its keys first.
 
 Entries are exact rationals held as ``int`` wherever they are integral
 (:func:`wpcalc.linalg.exact`), so the matrices built from arcs are int
@@ -31,7 +35,10 @@ class Rep:
 
     ``mats[k]`` belongs to ``quiver.arrows[k] = (u, v)`` and has shape
     ``(dims[u], dims[v])`` (right action, fiber at v -> fiber at u);
-    ``nonzeros[k]`` lists its nonzero entries as ``(i, j, entry)``.
+    ``nonzeros[k]`` lists its nonzero entries as ``(i, j, entry)``.  A
+    matrix may be given as ``[]`` for zero; on an arrow with a
+    zero-dimensional end it is stored as ``[]``, and any other given
+    form than ``[]`` or k empty rows for a k x 0 shape is rejected.
     Entries are normalized once, to ints where integral; values are
     treated as immutable after construction.
     """
@@ -54,12 +61,12 @@ class Rep:
         self.nonzeros = []
         for (u, v), m in zip(quiver.arrows, mats):
             nrows, ncols = self.dims[u], self.dims[v]
+            if m and (len(m) != nrows or any(len(r) != ncols for r in m)):
+                raise ValueError(f"matrix for arrow ({u!r},{v!r}) must be {nrows}x{ncols}")
             if nrows == 0 or ncols == 0:
                 m = []
             elif not m:
                 m = linalg.zero_matrix(nrows, ncols)
-            elif len(m) != nrows or any(len(r) != ncols for r in m):
-                raise ValueError(f"matrix for arrow ({u!r},{v!r}) must be {nrows}x{ncols}")
             else:
                 m = linalg.exact_matrix(m, nrows, ncols)
             self.mats.append(m)
@@ -72,39 +79,60 @@ class Rep:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def _total_action(self):
-        """The sum of all arrow actions as one endomorphism of the total space."""
-        n = self.total_dim()
-        offset = {}
-        pos = 0
-        for v in self.quiver.vertices:
-            offset[v] = pos
-            pos += self.dims[v]
-        big = linalg.zero_matrix(n, n)
-        for (u, v), nonzeros in zip(self.quiver.arrows, self.nonzeros):
-            for i, j, x in nonzeros:
-                big[offset[u] + i][offset[v] + j] += x
-        return big
-
     def _is_nilpotent(self) -> bool:
         """T^n = 0 for the total action T on the n-dimensional total space.
 
-        The check runs on d·T, with d the lcm of T's denominators, which
-        is nilpotent exactly when T is; squaring reaches an exponent
-        >= n in about log2(n) products.
+        T is kept as sparse rows ``{row: {col: entry}}`` of its nonzero
+        entries, built from :attr:`nonzeros`; no dense n x n matrix is made.  The check runs
+        on d·T, with d the lcm of T's denominators, which is nilpotent
+        exactly when T is; squaring reaches an exponent >= n in about
+        log2(n) products.
+        The entries decide, not the support: ``[[1, 1], [-1, -1]]`` on a
+        loop is nilpotent although its support has a cycle.
         """
-        n = self.total_dim()
-        t = self._total_action()
-        d = lcm(*[x.denominator for row in t for x in row])
-        if d > 1:
-            t = [[x.numerator * (d // x.denominator) for x in row] for row in t]
+        offset = {}
+        n = 0
+        for v in self.quiver.vertices:
+            offset[v] = n
+            n += self.dims[v]
+        d = lcm(*[x.denominator for nonzeros in self.nonzeros for _, _, x in nonzeros])
+        t = {}
+        for (u, v), nonzeros in zip(self.quiver.arrows, self.nonzeros):
+            ou, ov = offset[u], offset[v]
+            for i, j, x in nonzeros:
+                row = t.setdefault(ou + i, {})
+                z = row.get(ov + j, 0) + x.numerator * (d // x.denominator)
+                if z:
+                    row[ov + j] = z
+                else:  # parallel arrows cancel
+                    del row[ov + j]
+        t = {i: row for i, row in t.items() if row}
         exponent = 1
-        while not linalg.is_zero_matrix(t):
+        while t:
             if exponent >= n:
                 return False
-            t = linalg.mat_mul(t, t)
+            t = _square(t)
             exponent *= 2
         return True
+
+
+def _square(t) -> dict:
+    """T·T for sparse rows ``{row: {col: entry}}`` of nonzero entries, in the same form."""
+    out = {}
+    for i, row in t.items():
+        acc = {}
+        for k, x in row.items():
+            tk = t.get(k)
+            if tk:
+                for j, y in tk.items():
+                    z = acc.get(j, 0) + x * y
+                    if z:
+                        acc[j] = z
+                    else:  # x * y is nonzero, so acc held j
+                        del acc[j]
+        if acc:
+            out[i] = acc
+    return out
 
 
 def simple_rep(q: Quiver, v) -> Rep:
@@ -167,23 +195,32 @@ def hom_dim(m: Rep, n: Rep) -> int:
     return linalg.kernel_dimension(rows, nvars)
 
 
+def _euler(q: Quiver, d, e) -> int:
+    """The Euler pairing of two dimension maps defined on every vertex of ``q``."""
+    total = 0
+    for v in q.vertices:
+        total += d[v] * e[v]
+    for (u, v) in q.arrows:
+        total -= d[v] * e[u]
+    return total
+
+
 def euler_form(q: Quiver, d, e) -> int:
     """Euler pairing sum(d_v e_v) - sum over arrows u->v of d_v e_u.
 
-    The arrow term uses the same right-module convention as Rep matrices;
-    it is exactly the convention that makes ``ext1_dim(s_i, s_j)`` equal
-    the number of arrows from j to i.
+    ``d`` and ``e`` may omit vertices (dimension 0) but must not name
+    any outside ``q``.  The arrow term uses the same right-module
+    convention as Rep matrices; it is exactly the convention that makes
+    ``ext1_dim(s_i, s_j)`` equal the number of arrows from j to i.
     """
-    dd = dict(d)
-    ee = dict(e)
-    vertices = set(q.vertices)
-    for key in list(dd) + list(ee):
-        if key not in vertices:
-            raise QuiverMismatch(f"dimension vector mentions unknown vertex {key!r}")
-    total = sum(dd.get(v, 0) * ee.get(v, 0) for v in q.vertices)
-    for (u, v) in q.arrows:
-        total -= dd.get(v, 0) * ee.get(u, 0)
-    return total
+    dd = dict.fromkeys(q.vertices, 0)
+    ee = dict.fromkeys(q.vertices, 0)
+    for given, full in ((dict(d), dd), (dict(e), ee)):
+        for key in given:
+            if key not in full:
+                raise QuiverMismatch(f"dimension vector mentions unknown vertex {key!r}")
+        full.update(given)
+    return _euler(q, dd, ee)
 
 
 def hom_ext1(m: Rep, n: Rep) -> tuple:
@@ -191,7 +228,7 @@ def hom_ext1(m: Rep, n: Rep) -> tuple:
     if m.quiver != n.quiver:
         raise QuiverMismatch("Ext^1 needs representations over the same quiver")
     hom = hom_dim(m, n)
-    defect = hom - euler_form(m.quiver, dim_vector(m), dim_vector(n))
+    defect = hom - _euler(m.quiver, m.dims, n.dims)
     if defect < 0:
         raise NonNegativityViolation(
             f"negative Ext^1 defect {defect}; matrix/Euler conventions are out of sync"

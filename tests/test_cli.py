@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpcalc
+from wpcalc import cli
 from wpcalc.cli import MAX_OUTPUT_OBJECTS, main
 
 ONES = "1" * 5000  # past the default int/str conversion limit of 4300 digits
@@ -526,6 +527,47 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue()
         if code == 2 and "--json" not in argv:
             assert out.getvalue() == ""
+
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _has_positional(name):
+    _, _, _, arguments = cli.COMMANDS[name]
+    return any(not names[0].startswith("-") for names, _ in arguments)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], [], ["nosuch"], ["hom", "O(0)", "O(0)", "--bogus"], ["tube", "enumerate", "x"]]
+    + [[name] for name in cli.COMMANDS if _has_positional(name)]  # missing arguments
+    + [[name, "-h"] for name in cli.COMMANDS],
+    ids=" ".join,
+)
+def test_parser_matches_full_build(argv):
+    """``main`` builds only the subparser that ``argv[0]`` names; help and
+    argparse errors (stdout, stderr, exit code) are those of the parser
+    with every subcommand."""
+    full = _outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert full[0] in (0, 2)
+    if argv == ["-h"] or argv[1:] == ["-h"]:
+        assert full[0] == 0 and full[1]
+    assert _outcome(main, argv) == full
+
+
+def test_help_lists_every_command():
+    code, out, _ = _outcome(main, ["-h"])
+    assert code == 0 and len(cli.COMMANDS) == 14
+    for name, (_, help_text, _, _) in cli.COMMANDS.items():
+        assert f"    {name}" in out and help_text in out
 
 
 def test_readme_layout_names_exist():

@@ -89,6 +89,25 @@ def dense_rank_oracle(rows):
     return r
 
 
+def mat_mul(a, b):
+    """Dense product of two matrices given as lists of rows, for the tests'
+    base changes and ``dense_is_nilpotent_oracle``."""
+    n, k = len(a), len(b)
+    p = len(b[0]) if b else 0
+    out = linalg.zero_matrix(n, p)
+    for i in range(n):
+        ai = a[i]
+        for t in range(k):
+            x = ai[t]
+            if x == 0:
+                continue
+            bt = b[t]
+            oi = out[i]
+            for j in range(p):
+                oi[j] += x * bt[j]
+    return out
+
+
 ENTRIES = st.one_of(
     st.integers(-3, 3),
     st.integers(-(10**6), 10**6),

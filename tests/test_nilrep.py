@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_serial
-from test_linalg import dense_rank_oracle
+from test_linalg import dense_rank_oracle, mat_mul
 from wpcalc import linalg, nilrep, serial
 from wpcalc.errors import NonNegativityViolation, QuiverMismatch, UnknownVertex
 from wpcalc.quiver import Quiver
@@ -17,6 +18,11 @@ LOOP = serial.cycle_quiver(1)
 A2 = serial.line_quiver(2)
 A3 = serial.line_quiver(3)
 Z3 = serial.cycle_quiver(3)
+
+
+# (category, longest arc): U(1..4) with arcs up to twice the rank, A(0..6)
+# with all arcs; 2,228 ordered pairs of realized arcs
+REALIZED_CATS = [(cycle(n), 2 * n) for n in range(1, 5)] + [(line(n), None) for n in range(7)]
 
 
 def jordan(l):
@@ -55,6 +61,22 @@ class TestConstruction:
         for d in (2, Fraction(4, 2), 2.0):
             r = nilrep.Rep(loop, {0: d}, [[]])
             assert r.dims == {0: 2} and type(r.dims[0]) is int
+
+    def test_zero_dimensional_end(self):
+        # a matrix on an arrow u -> v has shape dims[u] x dims[v]; with a
+        # zero-dimensional end, only [] (or k empty rows for k x 0) fits
+        q = Quiver([0, 1], [(0, 1)])
+        cases = [
+            ({0: 0, 1: 1}, [[]], [[[5]], [[0]], [[]]]),
+            ({0: 2, 1: 0}, [[], [[], []]], [[[5], []], [[0], [0]], [[]], [[], [], []]]),
+            ({0: 0, 1: 0}, [[]], [[[]], [[7]]]),
+        ]
+        for dims, accepted, rejected in cases:
+            for m in accepted:
+                assert nilrep.Rep(q, dims, [m]).mats == [[]]
+            for m in rejected:
+                with pytest.raises(ValueError, match="must be"):
+                    nilrep.Rep(q, dims, [m])
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
@@ -141,10 +163,8 @@ class TestDenseOracle:
         # each arc conjugated by a random invertible integer matrix at every
         # vertex, so rows are dense and rational
         rng = random.Random(14)
-        cats = [(cycle(n), 2 * n) for n in range(1, 5)]
-        cats += [(line(n), None) for n in range(7)]
         pairs = 0
-        for cat, max_length in cats:
+        for cat, max_length in REALIZED_CATS:
             arcs = serial.all_arcs(cat, max_length)
             reps = [test_serial._base_change(rng, realize(a)) for a in arcs]
             for x in reps:
@@ -179,6 +199,107 @@ class TestDenseOracle:
                 assert nilrep.hom_dim(a, b) == dense_hom_dim_oracle(a, b)
 
 
+def dense_is_nilpotent_oracle(q, dims, mats):
+    """Nilpotency of the dense total action on the whole space, with its
+    denominators cleared, squared by dense products until it is zero or
+    its exponent reaches the dimension: the route that ``Rep``'s sparse
+    check replaced.  Takes raw ``(q, dims, mats)``, so it also judges
+    input that ``Rep`` rejects."""
+    offset = {}
+    n = 0
+    for v in q.vertices:
+        offset[v] = n
+        n += dims.get(v, 0)
+    big = linalg.zero_matrix(n, n)
+    for (u, v), m in zip(q.arrows, mats):
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                big[offset[u] + i][offset[v] + j] += Fraction(x)
+    d = lcm(*[x.denominator for row in big for x in row])
+    t = [[x.numerator * (d // x.denominator) for x in row] for row in big]
+    exponent = 1
+    while any(x for row in t for x in row):
+        if exponent >= n:
+            return False
+        t = mat_mul(t, t)
+        exponent *= 2
+    return True
+
+
+def _constructs(q, dims, mats) -> bool:
+    """Whether ``Rep`` accepts the input; it may only refuse it as not nilpotent."""
+    try:
+        nilrep.Rep(q, dims, mats)
+    except ValueError as exc:
+        assert "not nilpotent" in str(exc)
+        return False
+    return True
+
+
+TWO_LOOPS = Quiver((0,), ((0, 0), (0, 0)))
+NILPOTENCY_QUIVERS = {
+    "cycle": Z3,
+    "line": A3,
+    "loop": LOOP,
+    "two loops": TWO_LOOPS,
+    "kronecker": KRONECKER,
+}
+
+
+class TestSparseNilpotency:
+    def test_hand_cases(self):
+        j = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        j2 = [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+        a, b = [[0, 1], [0, 0]], [[1, 0], [0, 1]]
+        assert mat_mul(a, b) == a  # the 2-cycle's product is nonzero
+        c, c_inv = [[1, 1], [0, 1]], [[1, -1], [0, 1]]
+        assert mat_mul(c, c_inv) == b  # AB = I
+        z2 = serial.cycle_quiver(2)
+        cases = [
+            (LOOP, {0: 2}, [[[1, 1], [-1, -1]]], True),  # support has a cycle
+            (TWO_LOOPS, {0: 3}, [j, j2], True),
+            (TWO_LOOPS, {0: 1}, [[[1]], [[-1]]], True),  # the two loops cancel
+            (TWO_LOOPS, {0: 2}, [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], False),
+            (z2, {0: 2, 1: 2}, [a, b], True),
+            (z2, {0: 2, 1: 2}, [c, c_inv], False),
+            (z2, {0: 1, 1: 1}, [[[Fraction(2, 3)]], [[Fraction(3, 2)]]], False),
+            (LOOP, {0: 2}, [[[Fraction(1, 2), Fraction(1, 4)], [-1, Fraction(-1, 2)]]], True),
+        ]
+        for q, dims, mats, nilpotent in cases:
+            assert dense_is_nilpotent_oracle(q, dims, mats) is nilpotent, mats
+            assert _constructs(q, dims, mats) is nilpotent, mats
+
+    @pytest.mark.parametrize("name", sorted(NILPOTENCY_QUIVERS))
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_random_reps(self, name, rational):
+        q = NILPOTENCY_QUIVERS[name]
+        entries = [0] * 6 + [1, -1, 2]
+        if rational:
+            entries += [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+        rng = random.Random(f"{name}:{rational}")
+        seen = set()
+        for _ in range(150):
+            dims = {v: rng.randint(0, 3) for v in q.vertices}
+            mats = [
+                [[rng.choice(entries) for _ in range(dims[v])] for _ in range(dims[u])]
+                for u, v in q.arrows
+            ]
+            nilpotent = dense_is_nilpotent_oracle(q, dims, mats)
+            assert _constructs(q, dims, mats) is nilpotent, (dims, mats)
+            seen.add(nilpotent)
+        # the line and the Kronecker quiver have no oriented cycle
+        assert seen == ({True} if name in ("line", "kronecker") else {True, False})
+
+    def test_base_changed_reps(self):
+        # dense rational matrices that are nilpotent by construction
+        rng = random.Random(15)
+        for _ in range(40):
+            rep = random_cycle_rep(rng, rng.randint(1, 4))
+            rep = _diagonal_base_change(rep, TestRationalEntries.SCALARS)
+            assert dense_is_nilpotent_oracle(rep.quiver, rep.dims, rep.mats)
+            assert rep._is_nilpotent()
+
+
 class TestEulerForm:
     def test_no_arrows_dot_product(self):
         q = Quiver([1, 2, 3], [])
@@ -194,6 +315,42 @@ class TestEulerForm:
     def test_unknown_vertex(self):
         with pytest.raises(QuiverMismatch):
             nilrep.euler_form(LOOP, {5: 1}, {0: 1})
+        with pytest.raises(QuiverMismatch):
+            nilrep.euler_form(KRONECKER, {1: 1}, [(2, 1), (3, 0)])
+
+    def test_missing_vertices_count_as_zero(self):
+        assert nilrep.euler_form(KRONECKER, {}, {1: 4}) == 0
+        assert nilrep.euler_form(KRONECKER, [(2, 1)], {1: 1, 2: 3}) == 3 - 2
+
+
+class TestOneEulerRecipe:
+    """``hom_ext1`` reads its Euler term off the reps' ``dims`` directly;
+    it must equal ``euler_form`` on the copied dimension vectors."""
+
+    @staticmethod
+    def _check(x, y):
+        d, e = nilrep.dim_vector(x), nilrep.dim_vector(y)
+        _, ext = nilrep.hom_ext1(x, y)
+        assert ext == nilrep.hom_dim(x, y) - nilrep.euler_form(x.quiver, d, e)
+
+    def test_realized_arcs(self):
+        pairs = 0
+        for cat, max_length in REALIZED_CATS:
+            reps = [realize(a) for a in serial.all_arcs(cat, max_length)]
+            for x in reps:
+                for y in reps:
+                    self._check(x, y)
+                    pairs += 1
+        assert pairs == 2_228
+
+    def test_random_reps(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            x = _diagonal_base_change(random_cycle_rep(rng, n), TestRationalEntries.SCALARS)
+            y = random_cycle_rep(rng, n)
+            self._check(x, y)
+            self._check(y, x)
 
 
 class TestExt1:
@@ -213,7 +370,7 @@ class TestExt1:
         coboundaries = []
         for k in range(2):  # basis psi = e_k^T of Hom(k^2, k^1)
             psi = [[Fraction(1 if t == k else 0) for t in range(2)]]
-            coboundaries.append(linalg.mat_mul(psi, n_j2)[0])
+            coboundaries.append(mat_mul(psi, n_j2)[0])
         assert 2 - linalg.rank(coboundaries) == 1
 
     def test_hom_ext1_is_hom_dim_and_ext1_dim(self):
@@ -283,7 +440,7 @@ def _base_change(rng, rep):
     mats = []
     for k, (u, v) in enumerate(q.arrows):
         if rep.dims[u] and rep.dims[v]:
-            mats.append(linalg.mat_mul(p[u], linalg.mat_mul(rep.mats[k], p_inv[v])))
+            mats.append(mat_mul(p[u], mat_mul(rep.mats[k], p_inv[v])))
         else:
             mats.append([])
     return nilrep.Rep(q, rep.dims, mats)

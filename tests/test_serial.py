@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from test_linalg import mat_mul
 from wpcalc import linalg, nilrep, serial
 from wpcalc.errors import (
     BoundExceeded,
@@ -218,7 +219,7 @@ def _base_change(rng, rep):
     for v, d in rep.dims.items():
         p[v], p_inv[v] = _random_invertible(rng, d)
     mats = [
-        linalg.mat_mul(p[u], linalg.mat_mul(m, p_inv[v])) if m else []
+        mat_mul(p[u], mat_mul(m, p_inv[v])) if m else []
         for (u, v), m in zip(rep.quiver.arrows, rep.mats)
     ]
     return nilrep.Rep(rep.quiver, rep.dims, mats)
