@@ -16,18 +16,18 @@ import sys
 from math import lgamma, log, log10
 
 from . import lgroup, serial, wpl
-from .errors import BoundExceeded, InputError, InternalError, ParseError
+from .errors import BoundExceeded, InputError, InternalError, ParseError, _digit_limit
 
 MAX_OUTPUT_OBJECTS = 10**5
 
 
-def _weights_arg(text: str):
+def _weights_arg(text: str, flag: str = "--weights"):
     if not text:
         return []
     try:
         return [int(t) for t in text.split(",") if t != ""]
     except ValueError as exc:
-        raise ParseError(f"bad --weights value {text!r}") from exc
+        raise ParseError(f"bad {flag} value {text!r}") from exc
 
 
 def _read_config(path: str):
@@ -230,7 +230,7 @@ def _cmd_count_big(args):
     any binomial is computed; near the limit the exact count decides.
     """
     w = _model(args)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _digit_limit()
     try:
         # log10 of each factor C(2r, r) / 2; the float error is far below the margin of 1
         digits = sum(
@@ -272,7 +272,7 @@ def _cmd_canonical(args):
 
 def _cmd_star(args):
     w = _model(args)
-    tops = _weights_arg(args.tops) if args.tops else [0] * w.weights.p
+    tops = _weights_arg(args.tops, "--tops") if args.tops else [0] * w.weights.p
     _bound_output(2 + 2 * sum(max(b, 0) for b in tops))  # bundles and dual family
     bundles, dual = wpl.star_collection(w, tops)
     payload = {"line_bundles": list(bundles.labels()), "dual_family": list(dual.labels())}

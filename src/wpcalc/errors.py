@@ -78,6 +78,11 @@ class NotExceptionalTorsion(InputError):
     pass
 
 
+def _digit_limit() -> int:
+    """The interpreter's int/str conversion digit limit; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def check_digit_runs(text: str):
     """Refuse a literal with a digit run near the int/str conversion limit.
 
@@ -85,6 +90,6 @@ def check_digit_runs(text: str):
     means none), so a number built from parsed ones by a few additions
     still converts back to text.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and re.search(r"\d{%d}" % (limit - 1), text):
         raise ParseError(f"literal has a run of {limit - 1} or more digits")

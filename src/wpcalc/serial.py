@@ -156,9 +156,7 @@ def tau(a: Arc) -> Arc:
 
 
 def _count_congruent(lo: int, hi: int, residue: int, n: int) -> int:
-    """#{ j in [lo, hi] : j = residue mod n }."""
-    if hi < lo:
-        return 0
+    """#{ j in [lo, hi] : j = residue mod n }, for hi >= lo - 1."""
     return (hi - residue) // n - (lo - 1 - residue) // n
 
 
@@ -193,12 +191,9 @@ def dims(x: Arc, y: Arc) -> HomExt:
 
 def classify_arc(a: Arc) -> ArcClass:
     """Exceptional / sphere-like / neither, by length against the rank."""
-    if a.cat.kind == "line":
+    if a.cat.kind == "line" or a.length < a.cat.rank:
         return ArcClass.EXCEPTIONAL
-    n = a.cat.rank
-    if a.length < n:
-        return ArcClass.EXCEPTIONAL
-    if a.length == n:
+    if a.length == a.cat.rank:
         return ArcClass.SPHERE_LIKE
     return ArcClass.NEITHER
 
@@ -570,26 +565,27 @@ def thick_closure(cat: SerialCat, gens) -> ThickDesc:
     return _build_desc(idx, bits, rel, idx.minimal(idx.left_of(rel)))
 
 
-def _right_orthogonals(full: int, rows: list) -> dict:
-    """The right-orthogonal masks of all thick subcategories, each with its set bits.
+def _right_orthogonals(full: int, rows: list):
+    """Yield the right-orthogonal masks of all thick subcategories, each with its set bits.
 
     Walk them from ``full``, the zero subcategory's.  A state is T^perp
     for a thick T, and its set bits are the arcs g right-orthogonal to T;
     ANDing it with g's right mask gives the right orthogonal of the
     semiorthogonal join of T and g.  Every nonzero thick T' is such a
     join of a smaller thick T with an arc of T' in T^perp, so these steps
-    reach every state; no state is closed.
+    reach every state; no state is closed, and no bit list is kept.
     """
-    seen = {full: _bits(full)}
+    seen = {full}
     todo = [full]
     while todo:
         state = todo.pop()
-        for k in seen[state]:
+        bits = _bits(state)
+        yield state, bits
+        for k in bits:
             joined = state & rows[k]
             if joined not in seen:
-                seen[joined] = _bits(joined)
+                seen.add(joined)
                 todo.append(joined)
-    return seen
 
 
 def membership(t: ThickDesc, x: Arc) -> bool:
@@ -616,7 +612,7 @@ def _capped_index(cat: SerialCat) -> _ArcIndex:
 def count_thick(cat: SerialCat) -> int:
     """Number of thick subcategories; closes none and builds no descriptor."""
     idx = _capped_index(cat)
-    return len(_right_orthogonals(idx.full, idx.rows()))
+    return sum(1 for _ in _right_orthogonals(idx.full, idx.rows()))
 
 
 def enumerate_thick(cat: SerialCat):
@@ -633,7 +629,7 @@ def enumerate_thick(cat: SerialCat):
     idx = _capped_index(cat)
     rows = idx.rows()
     idx.fill_left(rows)
-    states = _right_orthogonals(idx.full, rows)
+    states = dict(_right_orthogonals(idx.full, rows))
     rel = {mask: idx.minimal(mask, bits) for mask, bits in states.items()}
     ordered = sorted(states, key=states.__getitem__)
     ordered.sort(key=int.bit_count)  # stable: ties keep the order of their bits

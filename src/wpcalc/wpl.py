@@ -22,7 +22,8 @@ picture; every other pair of classes has no Homs:
 
 Ext^1 is Serre-dual to a Hom: ``Ext^1(f, g) = Hom(g, tau f)``, with tau
 the shift by omega on bundles and the tube translate on torsion.  Inside
-``hom_ext`` tau is left uncarried, so Hom/Ext^1 make no lgroup call.
+``hom_ext`` tau is left uncarried, so Hom/Ext^1 make no lgroup call;
+``tau_sheaf`` carries it.
 
 The twist sigma at a point adds the point's generator to line-bundle
 gradings and acts as tau^{-1} on torsion at that point; its w(x)-th
@@ -44,7 +45,10 @@ from .errors import (
     check_digit_runs,
 )
 from .lgroup import LElement, Weights
-from .serial import Arc, HomExt, _count_congruent, cycle, dims as tube_dims, perp_arc
+from .serial import Arc, ArcClass, HomExt, _count_congruent, classify_arc, cycle, perp_arc
+from .serial import dims as tube_dims
+
+_POINT_X = re.compile(r"x(\d+)")  # x<i> addresses the weighted point x_i
 
 
 class _WplDataFields(NamedTuple):
@@ -65,10 +69,12 @@ class WplData(_WplDataFields):
         for y in labels:
             if not y:
                 raise ParseError("empty ordinary label")
-            if y.isdigit() or re.fullmatch(r"x\d+", y):
+            if y.isdigit() or _POINT_X.fullmatch(y):
                 raise ParseError(
                     f"ordinary label {y!r} clashes with weighted-point addressing"
                 )
+            if ")" in y:
+                raise ParseError(f"ordinary label {y!r} contains ')', which ends a T(...) literal")
         return tuple.__new__(cls, (weights, labels))
 
     def weight_of(self, i: int) -> int:
@@ -133,20 +139,16 @@ def rank_of(f: SheafClass) -> int:
     return 1 if isinstance(f, LineBundle) else 0
 
 
-def is_sphere_like(w: WplData, f: SheafClass) -> bool:
-    """Torsion arc whose length equals the weight of its point."""
-    f = _validate(w, f)
-    if isinstance(f, TorsionW):
-        return f.length == w.weight_of(f.i)
-    if isinstance(f, TorsionO):
-        return f.length == 1
-    return False
-
-
 def _tube_arc(w: WplData, f) -> Arc:
     if isinstance(f, TorsionW):
         return Arc(cycle(w.weight_of(f.i)), f.top, f.length)
     return Arc(cycle(1), 0, f.length)
+
+
+def is_sphere_like(w: WplData, f: SheafClass) -> bool:
+    """Torsion arc whose length equals the weight of its point (its tube's rank)."""
+    f = _validate(w, f)
+    return not isinstance(f, LineBundle) and classify_arc(_tube_arc(w, f)) is ArcClass.SPHERE_LIKE
 
 
 def _same_point(f, g) -> bool:
@@ -169,10 +171,10 @@ def _tau(w: WplData, f: SheafClass) -> SheafClass:
 
 def tau_sheaf(w: WplData, f: SheafClass) -> SheafClass:
     """Serre translate: grading shift by omega on bundles, tube tau on torsion."""
-    f = _validate(w, f)
+    f = _tau(w, _validate(w, f))
     if isinstance(f, LineBundle):
-        return LineBundle(lgroup.add(w.weights, f.lam, lgroup.omega(w.weights)))
-    return _validate(w, _tau(w, f))
+        return LineBundle(lgroup.normalize(w.weights, f.lam.a, f.lam.b))
+    return _validate(w, f)
 
 
 def _hom(w: WplData, f: SheafClass, g: SheafClass) -> int:
@@ -209,21 +211,17 @@ def euler(w: WplData, f: SheafClass, g: SheafClass) -> int:
 
 def _resolve_point(w: WplData, point):
     """A point is a weighted index (int or 'x<i>') or an ordinary label."""
-    if isinstance(point, int):
-        if not 1 <= point <= w.weights.p:
-            raise UnknownPoint(f"no weighted point x{point}")
-        return ("w", point)
-    label = str(point).strip()
-    check_digit_runs(label)
-    m = re.fullmatch(r"x(\d+)", label)
-    if m:
-        i = int(m.group(1))
-        if not 1 <= i <= w.weights.p:
-            raise UnknownPoint(f"no weighted point x{i}")
-        return ("w", i)
-    if label in w.ordinary:
-        return ("o", label)
-    raise UnknownPoint(f"unknown point {point!r}")
+    if not isinstance(point, int):
+        label = str(point).strip()
+        check_digit_runs(label)
+        m = _POINT_X.fullmatch(label)
+        if not m:
+            if label in w.ordinary:
+                return ("o", label)
+            raise UnknownPoint(f"unknown point {point!r}")
+        point = int(m.group(1))
+    w.weight_of(point)  # raises on an index out of range
+    return ("w", point)
 
 
 def sigma_twist(w: WplData, point, f: SheafClass) -> SheafClass:
@@ -235,7 +233,7 @@ def sigma_twist(w: WplData, point, f: SheafClass) -> SheafClass:
         step = lgroup.xbar(w.weights, key) if kind == "w" else lgroup.cbar(w.weights)
         return LineBundle(lgroup.add(w.weights, f.lam, step))
     if kind == "w" and isinstance(f, TorsionW) and f.i == key:
-        return TorsionW(f.i, (f.top + 1) % w.weight_of(f.i), f.length)
+        return _validate(w, TorsionW(f.i, f.top + 1, f.length))
     return f
 
 
@@ -258,8 +256,7 @@ def top_m(w: WplData, point, lam: LElement, m: int) -> SheafClass:
         raise ModelMismatch("top_m needs m >= 1")
     kind, key = _resolve_point(w, point)
     if kind == "w":
-        r = w.weight_of(key)
-        return TorsionW(key, lam.b[key - 1] % r, m)
+        return _validate(w, TorsionW(key, lam.b[key - 1], m))
     return TorsionO(key, m)
 
 
@@ -319,23 +316,15 @@ def is_vertex_like(w: WplData, c: Collection) -> bool:
     return True
 
 
-def ext_matrix_of(w: WplData, c: Collection) -> "ExtMatrix":
-    from .quiver import ExtMatrix
-
-    labels = c.labels()
-    if len(set(labels)) != len(labels):
-        raise NotVertexLike("collection has repeated objects")
-    rows = [[hom_ext(w, f, g).ext1 for g in c.objects] for f in c.objects]
-    return ExtMatrix(labels, rows)
-
-
 def ext_quiver_of(w: WplData, c: Collection) -> "Quiver":
-    """Ext-quiver of a vertex-like collection (labels are class literals)."""
-    from .quiver import ext_quiver
+    """Ext-quiver of a vertex-like collection (labels are class literals,
+    distinct because equal labels are equal classes, which have Homs)."""
+    from .quiver import ExtMatrix, ext_quiver
 
     if not is_vertex_like(w, c):
         raise NotVertexLike("collection is not vertex-like")
-    return ext_quiver(ext_matrix_of(w, c))
+    rows = [[hom_ext(w, f, g).ext1 for g in c.objects] for f in c.objects]
+    return ext_quiver(ExtMatrix(c.labels(), rows))
 
 
 # -- perpendicular reduction, counting, classification --------------------------
@@ -360,9 +349,9 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
     e = _validate(w, e)
     if not isinstance(e, TorsionW):
         raise NotExceptionalTorsion("perpendicular reduction needs weighted torsion")
-    r = w.weight_of(e.i)
-    m = e.length
-    if m >= r:
+    arc = _tube_arc(w, e)
+    r, m = arc.cat.rank, e.length
+    if classify_arc(arc) is not ArcClass.EXCEPTIONAL:
         raise NotExceptionalTorsion(
             f"arc of length {m} at a weight-{r} point is not exceptional"
         )
@@ -372,7 +361,7 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
         del new_r[e.i - 1]
     else:
         new_r[e.i - 1] = r - m
-    tube, chain = perp_arc(_tube_arc(w, e)).factors
+    tube, chain = perp_arc(arc).factors
 
     def classes(arcs):
         return tuple(TorsionW(e.i, a.top, a.length) for a in arcs)
@@ -396,7 +385,6 @@ def count_big(w: WplData) -> int:
 class ClassifyKind(Enum):
     BIG = "big"
     QUIVER_LIKE = "quiver_like"
-    SPLIT_THEN_QUIVER_LIKE = "split_then_quiver_like"
     UNDETERMINED = "undetermined"
 
 
@@ -404,8 +392,6 @@ class Classification(NamedTuple):
     kind: ClassifyKind
     witnesses: tuple | None = None  # (bundle, sphere-like) for BIG, else None
     quiver: "Quiver | None" = None
-    torsion_part: Collection | None = None
-    free_part: Collection | None = None
 
 
 def classify_generated(w: WplData, g: Collection) -> Classification:
@@ -413,8 +399,10 @@ def classify_generated(w: WplData, g: Collection) -> Classification:
 
     Fires, in order: big (a positive-rank class alongside a sphere-like
     torsion class, the pair being the witnesses); quiver-like (the family
-    is vertex-like); the torsion/torsion-free split with vertex-like parts;
-    otherwise undetermined.  Never asserts a negative.
+    is vertex-like); otherwise undetermined.  Never asserts a negative.
+    The torsion/torsion-free split is no third criterion: Hom from torsion
+    to a bundle is 0, so vertex-like parts with no Homs from the bundles
+    to the torsion make a vertex-like family.
     """
     objs = [_validate(w, f) for f in g.objects]
     if not objs:
@@ -425,20 +413,6 @@ def classify_generated(w: WplData, g: Collection) -> Classification:
         return Classification(ClassifyKind.BIG, witnesses=(bundles[0], spheres[0]))
     if is_vertex_like(w, g):
         return Classification(ClassifyKind.QUIVER_LIKE, quiver=ext_quiver_of(w, g))
-    torsion = Collection([f for f in objs if rank_of(f) == 0])
-    free = Collection(bundles)
-    if torsion.objects and free.objects:
-        forward_only = all(
-            hom_ext(w, v, t).hom == 0 for v in free.objects for t in torsion.objects
-        )
-        if forward_only and is_vertex_like(w, torsion) and is_vertex_like(w, free):
-            merged = Collection(list(torsion.objects) + list(free.objects))
-            return Classification(
-                ClassifyKind.SPLIT_THEN_QUIVER_LIKE,
-                quiver=ext_quiver_of(w, merged),
-                torsion_part=torsion,
-                free_part=free,
-            )
     return Classification(ClassifyKind.UNDETERMINED)
 
 
@@ -479,22 +453,15 @@ def parse_sheaf(w: WplData, text: str) -> SheafClass:
     """Parse ``O(<element>)``, ``S(i,j)``, ``S(i,j)[l]``, ``T(y)[l]`` literals."""
     check_digit_runs(text)
     s = text.strip()
-    m = _SHEAF_O.fullmatch(s)
-    if m:
+    if m := _SHEAF_O.fullmatch(s):
         return LineBundle(lgroup.parse_element(w.weights, m.group(1)))
-    m = _SHEAF_S.fullmatch(s)
-    if m:
-        i, j = int(m.group(1)), int(m.group(2))
-        length = int(m.group(3)) if m.group(3) else 1
-        try:
-            return _validate(w, TorsionW(i, j, length))
-        except (UnknownPoint, ModelMismatch) as exc:
-            raise ParseError(f"bad torsion literal {text!r}: {exc}") from exc
-    m = _SHEAF_T.fullmatch(s)
-    if m:
-        length = int(m.group(2)) if m.group(2) else 1
-        try:
-            return _validate(w, TorsionO(m.group(1).strip(), length))
-        except (UnknownPoint, ModelMismatch) as exc:
-            raise ParseError(f"bad torsion literal {text!r}: {exc}") from exc
-    raise ParseError(f"bad sheaf literal {text!r}")
+    if m := _SHEAF_S.fullmatch(s):
+        f = TorsionW(int(m.group(1)), int(m.group(2)), int(m.group(3) or 1))
+    elif m := _SHEAF_T.fullmatch(s):
+        f = TorsionO(m.group(1).strip(), int(m.group(2) or 1))
+    else:
+        raise ParseError(f"bad sheaf literal {text!r}")
+    try:
+        return _validate(w, f)
+    except (UnknownPoint, ModelMismatch) as exc:
+        raise ParseError(f"bad torsion literal {text!r}: {exc}") from exc

@@ -402,6 +402,25 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.strip().splitlines() == ["error [ParseError]: empty ordinary label"]
 
+    def test_tops_error_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "star", "--weights", "3,3", "--tops", "1,a")
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == ["error [ParseError]: bad --tops value '1,a'"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unnameable_ordinary_label_exit_2(self, capsys, tmp_path, source):
+        # no T(...) literal can name a label that contains ')'
+        if source == "flag":
+            model = ["--weights", "2", "--ordinary", "a)"]
+        else:
+            cfg = tmp_path / "model.json"
+            cfg.write_text(json.dumps({"weights": [2], "ordinary": ["a)"]}))
+            model = ["--config", str(cfg)]
+        code, out, err = run(capsys, "hom", *model, "O(0)", "O(0)")
+        assert (code, out) == (2, "")
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error [ParseError]: ordinary label 'a)'")
+
     def test_input_error_exit_2(self, capsys):
         code, out, err = run(capsys, "tube", "enumerate", "9")
         assert code == 2

@@ -79,6 +79,11 @@ class TestGroupOps:
         with pytest.raises(WeightMismatch):
             add(W3, zero(W3), zero(W4))
 
+    def test_xbar_index_out_of_range(self):
+        for i in (0, 2):
+            with pytest.raises(WeightMismatch):
+                xbar(W3, i)
+
 
 class TestOmega:
     def test_2222(self):

@@ -53,6 +53,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             nilrep.Rep(A2, {1: 1, 2: 1}, [[[1, 2]]])
 
+    def test_negative_dimension(self):
+        with pytest.raises(ValueError):
+            nilrep.Rep(A2, {1: -1, 2: 1}, [[]])
+
+    def test_one_matrix_per_arrow(self):
+        with pytest.raises(ValueError):
+            nilrep.Rep(A2, {1: 1, 2: 1}, [])
+        with pytest.raises(ValueError):
+            nilrep.Rep(A2, {1: 1, 2: 1}, [[[0]], [[0]]])
+
     def test_non_integral_dimension(self):
         loop = Quiver((0,), ((0, 0),))
         for d in (1.7, Fraction(3, 2)):
@@ -177,7 +187,7 @@ class TestDenseOracle:
         rng = random.Random(2024)
         for _ in range(60):
             n = rng.randint(1, 4)
-            x = _diagonal_base_change(random_cycle_rep(rng, n), TestRationalEntries.SCALARS)
+            x = test_serial._base_change(rng, random_cycle_rep(rng, n), TestRationalEntries.SCALARS)
             y = random_cycle_rep(rng, n)
             assert nilrep.hom_dim(x, y) == dense_hom_dim_oracle(x, y)
             assert nilrep.hom_dim(y, x) == dense_hom_dim_oracle(y, x)
@@ -295,7 +305,7 @@ class TestSparseNilpotency:
         rng = random.Random(15)
         for _ in range(40):
             rep = random_cycle_rep(rng, rng.randint(1, 4))
-            rep = _diagonal_base_change(rep, TestRationalEntries.SCALARS)
+            rep = test_serial._base_change(rng, rep, TestRationalEntries.SCALARS)
             assert dense_is_nilpotent_oracle(rep.quiver, rep.dims, rep.mats)
             assert rep._is_nilpotent()
 
@@ -347,7 +357,7 @@ class TestOneEulerRecipe:
         rng = random.Random(16)
         for _ in range(60):
             n = rng.randint(1, 4)
-            x = _diagonal_base_change(random_cycle_rep(rng, n), TestRationalEntries.SCALARS)
+            x = test_serial._base_change(rng, random_cycle_rep(rng, n), TestRationalEntries.SCALARS)
             y = random_cycle_rep(rng, n)
             self._check(x, y)
             self._check(y, x)
@@ -406,7 +416,7 @@ def random_cycle_rep(rng, n, total_max=6):
         length = rng.randint(1, min(budget, 2 * n))
         rep = direct_sum(rep, realize(Arc(cycle(n), rng.randrange(n), length)))
         budget -= length
-    return _base_change(rng, rep)
+    return test_serial._base_change(rng, rep)
 
 
 def direct_sum(m, n):
@@ -423,40 +433,6 @@ def direct_sum(m, n):
             block[m.dims[u] + i][m.dims[v]:] = row
         mats.append(block)
     return nilrep.Rep(q, dims, mats)
-
-
-def _base_change(rng, rep):
-    """Conjugate by random unitriangular matrices at every vertex."""
-    q = rep.quiver
-    p, p_inv = {}, {}
-    for v in q.vertices:
-        d = rep.dims[v]
-        m = [[int(i == j) for j in range(d)] for i in range(d)]
-        for i in range(d):
-            for j in range(i):
-                m[i][j] = Fraction(rng.randint(-2, 2))
-        inv = _unitriangular_inverse(m)
-        p[v], p_inv[v] = m, inv
-    mats = []
-    for k, (u, v) in enumerate(q.arrows):
-        if rep.dims[u] and rep.dims[v]:
-            mats.append(mat_mul(p[u], mat_mul(rep.mats[k], p_inv[v])))
-        else:
-            mats.append([])
-    return nilrep.Rep(q, rep.dims, mats)
-
-
-def _unitriangular_inverse(m):
-    d = len(m)
-    inv = linalg.zero_matrix(d, d)
-    # forward substitution: columns of the inverse
-    for col in range(d):
-        for i in range(d):
-            s = Fraction(1 if i == col else 0)
-            for j in range(i):
-                s -= m[i][j] * inv[j][col]
-            inv[i][col] = s
-    return inv
 
 
 def rotate_cycle_rep(rep):
@@ -482,31 +458,18 @@ class TestSerreDuality:
             assert nilrep.ext1_dim(x, y) == nilrep.hom_dim(y, rotate_cycle_rep(x))
 
 
-def _diagonal_base_change(rep, scalars):
-    """Conjugate by diagonal matrices whose entries cycle through ``scalars``."""
-    q = rep.quiver
-    it = iter(scalars * rep.total_dim())
-    diag = {v: [next(it) for _ in range(rep.dims[v])] for v in q.vertices}
-    mats = []
-    for k, (u, v) in enumerate(q.arrows):
-        m = rep.mats[k]
-        mats.append(
-            [
-                [diag[u][i] * x / diag[v][j] for j, x in enumerate(row)]
-                for i, row in enumerate(m)
-            ]
-        )
-    return nilrep.Rep(q, rep.dims, mats)
-
-
 class TestRationalEntries:
     SCALARS = [Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(5, 7)]
 
     def test_entries_are_int_where_integral(self):
-        rep = _diagonal_base_change(realize(Arc(cycle(2), 1, 4)), self.SCALARS)
-        entries = [x for m in rep.mats for row in m for x in row]
-        assert any(type(x) is Fraction for x in entries)
-        assert all(type(x) is int or x.denominator != 1 for x in entries)
+        # the one base-change recipe gives rational entries in both its
+        # forms: a random integer matrix, and a diagonal rescale
+        rng = random.Random(17)
+        arc = realize(Arc(cycle(2), 1, 4))
+        for rep in (test_serial._base_change(rng, arc), test_serial._base_change(rng, arc, self.SCALARS)):
+            entries = [x for m in rep.mats for row in m for x in row]
+            assert any(type(x) is Fraction for x in entries)
+            assert all(type(x) is int or x.denominator != 1 for x in entries)
 
     def test_nilpotency_check_on_rational_entries(self):
         nilrep.Rep(LOOP, {0: 2}, [[[0, 0], [Fraction(1, 3), 0]]])
@@ -521,8 +484,8 @@ class TestRationalEntries:
             n = rng.randint(1, 4)
             x = random_cycle_rep(rng, n)
             y = random_cycle_rep(rng, n)
-            x2 = _diagonal_base_change(x, self.SCALARS)
-            y2 = _diagonal_base_change(y, self.SCALARS[::-1])
+            x2 = test_serial._base_change(rng, x, self.SCALARS)
+            y2 = test_serial._base_change(rng, y, self.SCALARS[::-1])
             dims = nilrep.hom_ext1(x, y)
             assert nilrep.hom_ext1(x2, y2) == dims
             assert nilrep.hom_ext1(x2, y) == dims

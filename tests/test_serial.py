@@ -51,6 +51,15 @@ class TestArcs:
             Arc(line(3), 4, 1)
         assert line_arc(4, 2, 3) == Arc(line(4), 3, 2)
 
+    def test_interval_is_for_line_arcs(self):
+        assert Arc(line(3), 3, 2).interval() == (2, 3)
+        with pytest.raises(InvalidArc):
+            Arc(cycle(3), 0, 2).interval()
+
+    def test_closure_generator_from_another_category(self):
+        with pytest.raises(CategoryMismatch):
+            thick_closure(cycle(3), [Arc(cycle(2), 0, 1)])
+
     def test_parse(self):
         assert parse_arc("U(3):arc(0,2)") == Arc(cycle(3), 0, 2)
         assert parse_arc("A(4):arc(2,3)") == Arc(line(4), 3, 2)
@@ -213,11 +222,18 @@ def _random_invertible(rng, d):
             return m, [row[d:] for row in a]
 
 
-def _base_change(rng, rep):
-    """Conjugate by a random invertible integer matrix P_v at every vertex."""
+def _base_change(rng, rep, scalars=None):
+    """Conjugate by an invertible matrix P_v at every vertex: a random
+    integer matrix with a rational inverse or, given ``scalars``, a
+    diagonal rescale by entries drawn from them."""
     p, p_inv = {}, {}
     for v, d in rep.dims.items():
-        p[v], p_inv[v] = _random_invertible(rng, d)
+        if scalars:
+            diag = [rng.choice(scalars) for _ in range(d)]
+            p[v] = [[x if i == j else 0 for j in range(d)] for i, x in enumerate(diag)]
+            p_inv[v] = [[1 / x if i == j else 0 for j in range(d)] for i, x in enumerate(diag)]
+        else:
+            p[v], p_inv[v] = _random_invertible(rng, d)
     mats = [
         mat_mul(p[u], mat_mul(m, p_inv[v])) if m else []
         for (u, v), m in zip(rep.quiver.arrows, rep.mats)
@@ -645,7 +661,7 @@ class TestWalk:
     def test_in_state_walk_matches_all_rows_walk(self, cat):
         idx = serial._ArcIndex(cat)
         rows = idx.rows()
-        states = serial._right_orthogonals(idx.full, rows)
+        states = dict(serial._right_orthogonals(idx.full, rows))
         assert set(states) == all_rows_walk(idx.full, rows)
         assert all(bits == serial._bits(state) for state, bits in states.items())
 
@@ -689,7 +705,7 @@ class TestWalk:
             idx = serial._ArcIndex(cat)
             rows = idx.rows()
             idx.fill_left(rows)
-            states = set(serial._right_orthogonals(idx.full, rows))
+            states = set(dict(serial._right_orthogonals(idx.full, rows)))
             assert {idx.closure(state) for state in states} == states, cat
 
 

@@ -168,8 +168,7 @@ class TestValueTypes:
             (
                 classified,
                 "Classification(kind=<ClassifyKind.QUIVER_LIKE: 'quiver_like'>, witnesses=None, "
-                "quiver=Quiver(vertices=('S(1,1)', 'S(2,1)'), arrows=()), torsion_part=None, "
-                "free_part=None)",
+                "quiver=Quiver(vertices=('S(1,1)', 'S(2,1)'), arrows=()))",
             ),
         ]
         for obj, text in reprs:
@@ -229,6 +228,17 @@ class TestValueTypes:
             (lambda: Quiver([1], [(1, 2)]), UnknownVertex),
             (lambda: ExtMatrix(["a"], [[0, 0]]), ParseError),
             (lambda: ExtMatrix(["a"], [[-1]]), ParseError),
+            # a label with ')' could not be named by a T(...) literal
+            (lambda: WplData([2], ["a)"]), ParseError),
+            (lambda: wpl._validate(W23, TorsionW(1, 0, 0)), ModelMismatch),
+            (lambda: wpl._validate(W23, TorsionO("y", 0)), ModelMismatch),
+            (lambda: wpl._validate(W23, "O(0)"), ModelMismatch),
+            (lambda: wpl._resolve_point(W23, 3), UnknownPoint),
+            (lambda: wpl._resolve_point(W23, 0), UnknownPoint),
+            (lambda: top_m(W23, "x1", O(W23).lam, 0), ModelMismatch),
+            (lambda: classify_generated(W23, Collection([])), ModelMismatch),
+            (lambda: star_collection(W23, [2, 0]), ModelMismatch),
+            (lambda: star_collection(W23, [0, -1]), ModelMismatch),
         ],
     )
     def test_validation_errors(self, build, error):
@@ -771,3 +781,26 @@ class TestClassify:
                 assert bundle in family and wpl.rank_of(bundle) > 0
                 assert sphere in family and is_sphere_like(w, sphere)
         assert bigs > 50
+
+    def test_torsion_free_split_is_already_vertex_like(self):
+        # Hom from torsion to a bundle is 0, so a family whose bundles have
+        # no Homs to its torsion, with vertex-like parts, is vertex-like:
+        # the split gives no criterion beyond quiver-like
+        rng = random.Random(16)
+        models = [WplData(Weights(r), ["y"]) for r in ((2, 3, 4), (2, 2), (3, 3, 3, 3), (5,))]
+        splits = 0
+        for _ in range(20_000):
+            w = rng.choice(models)
+            family = random_classes(w, rng, rng.randint(2, 4))
+            bundles = [f for f in family if wpl.rank_of(f) > 0]
+            torsion = [f for f in family if wpl.rank_of(f) == 0]
+            if not (bundles and torsion):
+                continue
+            if any(hom_ext(w, v, t).hom for v in bundles for t in torsion):
+                continue
+            if not (is_vertex_like(w, Collection(bundles)) and is_vertex_like(w, Collection(torsion))):
+                continue
+            splits += 1
+            assert is_vertex_like(w, Collection(family)), family
+            assert classify_generated(w, Collection(family)).kind == ClassifyKind.QUIVER_LIKE
+        assert splits > 100
