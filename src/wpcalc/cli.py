@@ -12,6 +12,7 @@ without them.
 """
 
 import argparse
+import os
 import sys
 from math import lgamma, log, log10
 
@@ -130,18 +131,17 @@ def _cmd_extquiver(args):
     from .quiver import quiver_to_json_dict, quiver_to_text
 
     w = _model(args)
-    coll = wpl.Collection([wpl.parse_sheaf(w, t) for t in args.objects])
-    q = wpl.ext_quiver_of(w, coll)
+    q = wpl.ext_quiver_of(w, [wpl.parse_sheaf(w, t) for t in args.objects])
     _emit(args, quiver_to_json_dict(q), quiver_to_text(q).rstrip("\n"))
 
 
 def _cmd_check(args):
     w = _model(args)
-    coll = wpl.Collection([wpl.parse_sheaf(w, t) for t in args.objects])
+    family = [wpl.parse_sheaf(w, t) for t in args.objects]
     if args.property == "exceptional":
-        ok = wpl.is_exceptional_sequence(w, coll)
+        ok = wpl.is_exceptional_sequence(w, family)
     else:
-        ok = wpl.is_vertex_like(w, coll)
+        ok = wpl.is_vertex_like(w, family)
     _emit(args, {args.property: ok}, "true" if ok else "false")
 
 
@@ -251,8 +251,7 @@ def _cmd_classify(args):
     from .quiver import quiver_to_json_dict, quiver_to_text
 
     w = _model(args)
-    coll = wpl.Collection([wpl.parse_sheaf(w, t) for t in args.objects])
-    res = wpl.classify_generated(w, coll)
+    res = wpl.classify_generated(w, [wpl.parse_sheaf(w, t) for t in args.objects])
     payload = {"kind": res.kind.value}
     text = res.kind.value
     if res.witnesses:
@@ -266,21 +265,17 @@ def _cmd_classify(args):
 def _cmd_canonical(args):
     w = _model(args)
     _bound_output(2 + sum(r - 1 for r in w.weights.r))
-    coll = wpl.canonical_collection(w)
-    _emit(args, {"objects": list(coll.labels())}, " ".join(coll.labels()))
+    labels = [str(f) for f in wpl.canonical_collection(w)]
+    _emit(args, {"objects": labels}, " ".join(labels))
 
 
 def _cmd_star(args):
     w = _model(args)
     tops = _weights_arg(args.tops, "--tops") if args.tops else [0] * w.weights.p
     _bound_output(2 + 2 * sum(max(b, 0) for b in tops))  # bundles and dual family
-    bundles, dual = wpl.star_collection(w, tops)
-    payload = {"line_bundles": list(bundles.labels()), "dual_family": list(dual.labels())}
-    _emit(
-        args,
-        payload,
-        "line_bundles: " + " ".join(bundles.labels()) + "\ndual_family: " + " ".join(dual.labels()),
-    )
+    bundles, dual = ([str(f) for f in family] for family in wpl.star_collection(w, tops))
+    payload = {"line_bundles": bundles, "dual_family": dual}
+    _emit(args, payload, "line_bundles: " + " ".join(bundles) + "\ndual_family: " + " ".join(dual))
 
 
 def _arg(*names, **kwargs):
@@ -380,15 +375,22 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
+    code = 0
     try:
-        args.fn(args)
-    except InputError as exc:
-        _report_error(args, exc)
-        return 2
-    except InternalError as exc:
-        _report_error(args, exc)
-        return 1
-    return 0
+        try:
+            args.fn(args)
+        except InputError as exc:
+            code = 2
+            _report_error(args, exc)
+        except InternalError as exc:
+            code = 1
+            _report_error(args, exc)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader ended the output, not the input: point stdout at
+        # devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def _report_error(args, exc):

@@ -1,4 +1,4 @@
-"""Finite quivers, Ext matrices and Ext-quivers.
+"""Finite quivers and Ext-quivers.
 
 A quiver is a finite directed multigraph: an ordered tuple of distinct
 vertex ids plus a tuple of (source, target) arrows.  Parallel arrows and
@@ -6,11 +6,11 @@ loops are allowed.  Vertex ids can be any hashable values (ints in most
 tests, strings when quivers are built from sheaf collections).
 
 The Ext-quiver convention used throughout the package: for a family of
-objects ``t_i`` with Ext matrix ``M[i][j] = dim Ext^1(t_i, t_j)``, the
+objects ``t_i`` with Ext table ``M[i][j] = dim Ext^1(t_i, t_j)``, the
 Ext-quiver has ``M[j][i]`` arrows from ``i`` to ``j``.  In particular the
 Ext-quiver of the simple nilpotent modules of a quiver ``q`` is ``q``
-itself (arrow counting for simples goes the transposed way; see
-:func:`simple_ext_dims`).
+itself, since ``dim Ext^1(s_i, s_j)`` counts the arrows from ``j`` to
+``i``.
 
 Quivers are written out, never read back: ``quiver_to_text`` and
 ``quiver_to_json_dict`` format the ``extquiver`` and ``classify`` output.
@@ -18,7 +18,7 @@ Quivers are written out, never read back: ``quiver_to_text`` and
 
 from typing import NamedTuple
 
-from .errors import ParseError, UnknownVertex
+from .errors import UnknownVertex
 
 
 class _QuiverFields(NamedTuple):
@@ -40,50 +40,18 @@ class Quiver(_QuiverFields):
                 raise UnknownVertex(f"arrow ({s!r}, {t!r}) has an undeclared endpoint")
         return tuple.__new__(cls, (vs, ars))
 
-    def arrow_count(self, src, dst):
-        return sum(1 for s, t in self.arrows if s == src and t == dst)
 
+def ext_quiver(labels, ext1) -> Quiver:
+    """Quiver on ``labels`` with ``ext1[j][i]`` arrows from i to j.
 
-class _ExtMatrixFields(NamedTuple):
-    labels: tuple
-    ext1: tuple  # of tuples of ints; ext1[i][j] = dim Ext^1(obj_i, obj_j)
-
-
-class ExtMatrix(_ExtMatrixFields):
-    """Square table of Ext^1 dimensions over an ordered list of labels."""
-
-    __slots__ = ()
-
-    def __new__(cls, labels, ext1):
-        ls = tuple(labels)
-        rows = tuple(tuple(int(x) for x in row) for row in ext1)
-        if len(rows) != len(ls) or any(len(r) != len(ls) for r in rows):
-            raise ParseError("ext matrix must be square with side = number of labels")
-        if any(x < 0 for row in rows for x in row):
-            raise ParseError("ext matrix entries must be non-negative")
-        return tuple.__new__(cls, (ls, rows))
-
-
-def simple_ext_dims(q: Quiver) -> ExtMatrix:
-    """Ext^1 table of the simple nilpotent modules of ``q``.
-
-    ``M[i][j] = dim Ext^1(s_i, s_j)`` equals the number of arrows of ``q``
-    from ``j`` to ``i``.  Hom dimensions are the identity matrix and are
-    not returned.
+    ``ext1[i][j] = dim Ext^1(t_i, t_j)`` over a family ``t`` labelled by
+    ``labels``: a square table of non-negative integers.
     """
-    vs = q.vertices
-    rows = tuple(tuple(q.arrow_count(vj, vi) for vj in vs) for vi in vs)
-    return ExtMatrix(vs, rows)
-
-
-def ext_quiver(m: ExtMatrix) -> Quiver:
-    """Quiver on ``m.labels`` with ``m.ext1[j][i]`` arrows from i to j."""
     arrows = []
-    n = len(m.labels)
-    for i in range(n):
-        for j in range(n):
-            arrows.extend([(m.labels[i], m.labels[j])] * m.ext1[j][i])
-    return Quiver(m.labels, arrows)
+    for i, src in enumerate(labels):
+        for j, dst in enumerate(labels):
+            arrows.extend([(src, dst)] * ext1[j][i])
+    return Quiver(labels, arrows)
 
 
 # -- text / JSON output -------------------------------------------------------

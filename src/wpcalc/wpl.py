@@ -67,6 +67,7 @@ class WplData(_WplDataFields):
         if len(set(labels)) != len(labels):
             raise ParseError(f"duplicate ordinary labels in {labels}")
         for y in labels:
+            check_digit_runs(y)  # a T(...) literal naming y would be refused
             if not y:
                 raise ParseError("empty ordinary label")
             if y.isdigit() or _POINT_X.fullmatch(y):
@@ -260,71 +261,67 @@ def top_m(w: WplData, point, lam: LElement, m: int) -> SheafClass:
     return TorsionO(key, m)
 
 
-# -- collections ---------------------------------------------------------------
+# -- families ------------------------------------------------------------------
+# A family is a plain sequence of sheaf classes (a list or tuple: it is read
+# more than once, so not an iterator).
 
 
-class _CollectionFields(NamedTuple):
-    objects: tuple  # ordered SheafClass tuple
-
-
-class Collection(_CollectionFields):
-    __slots__ = ()
-
-    def __new__(cls, objects):
-        return tuple.__new__(cls, (tuple(objects),))
-
-    def labels(self):
-        return tuple(str(f) for f in self.objects)
-
-
-def canonical_collection(w: WplData) -> Collection:
-    """O; O(b x_i) for each weighted point and 1 <= b <= r_i - 1; O(c)."""
-    ws = w.weights
-    objs = [LineBundle(lgroup.zero(ws))]
+def _arm_bundles(ws: Weights, arms) -> tuple:
+    """O, then O(b x_i) for 1 <= b <= arms[i-1], point by point."""
+    bundles = [LineBundle(lgroup.zero(ws))]
     for i in range(1, ws.p + 1):
         xi = lgroup.xbar(ws, i)
-        objs.extend(LineBundle(lgroup.scale(ws, b, xi)) for b in range(1, ws.r[i - 1]))
-    objs.append(LineBundle(lgroup.cbar(ws)))
-    return Collection(objs)
+        bundles.extend(LineBundle(lgroup.scale(ws, b, xi)) for b in range(1, arms[i - 1] + 1))
+    return tuple(bundles)
 
 
-def is_exceptional_sequence(w: WplData, c: Collection) -> bool:
+def canonical_collection(w: WplData) -> tuple:
+    """O; O(b x_i) for each weighted point and 1 <= b <= r_i - 1; O(c)."""
+    ws = w.weights
+    return _arm_bundles(ws, [r - 1 for r in ws.r]) + (LineBundle(lgroup.cbar(ws)),)
+
+
+def is_exceptional_sequence(w: WplData, family) -> bool:
     """Each object exceptional, all backward Homs and Exts vanish."""
-    objs = c.objects
-    for k, f in enumerate(objs):
+    for k, f in enumerate(family):
         if hom_ext(w, f, f) != (1, 0):
             return False
-        for earlier in objs[:k]:
+        for earlier in family[:k]:
             if hom_ext(w, f, earlier) != (0, 0):
                 return False
     return True
 
 
-def is_vertex_like(w: WplData, c: Collection) -> bool:
+def _ext_rows(w: WplData, family):
+    """Ext^1 rows of a vertex-like family, None for any other family.
+
+    One ``hom_ext`` per ordered pair: vertex-like reads the table's Homs
+    (the identity matrix), the Ext-quiver its Ext^1 entries.
+    """
+    table = [[hom_ext(w, f, g) for g in family] for f in family]
+    if any(he.hom != (i == j) for i, row in enumerate(table) for j, he in enumerate(row)):
+        return None
+    return [[he.ext1 for he in row] for row in table]
+
+
+def is_vertex_like(w: WplData, family) -> bool:
     """Scalar endomorphisms, no Homs between distinct members.
 
     Ext^1 is unrestricted; higher Homs vanish automatically because all
     classes lie in the heart of a hereditary category.
     """
-    objs = c.objects
-    for k, f in enumerate(objs):
-        if hom_ext(w, f, f).hom != 1:
-            return False
-        for g in objs[k + 1:]:
-            if hom_ext(w, f, g).hom != 0 or hom_ext(w, g, f).hom != 0:
-                return False
-    return True
+    return _ext_rows(w, family) is not None
 
 
-def ext_quiver_of(w: WplData, c: Collection) -> "Quiver":
-    """Ext-quiver of a vertex-like collection (labels are class literals,
+def ext_quiver_of(w: WplData, family) -> "Quiver":
+    """Ext-quiver of a vertex-like family (labels are class literals,
     distinct because equal labels are equal classes, which have Homs)."""
-    from .quiver import ExtMatrix, ext_quiver
-
-    if not is_vertex_like(w, c):
+    rows = _ext_rows(w, family)
+    if rows is None:
         raise NotVertexLike("collection is not vertex-like")
-    rows = [[hom_ext(w, f, g).ext1 for g in c.objects] for f in c.objects]
-    return ext_quiver(ExtMatrix(c.labels(), rows))
+    from .quiver import ext_quiver
+
+    return ext_quiver([str(f) for f in family], rows)
 
 
 # -- perpendicular reduction, counting, classification --------------------------
@@ -394,8 +391,9 @@ class Classification(NamedTuple):
     quiver: "Quiver | None" = None
 
 
-def classify_generated(w: WplData, g: Collection) -> Classification:
-    """Sufficient-criteria classification of the subcategory generated by g.
+def classify_generated(w: WplData, family) -> Classification:
+    """Sufficient-criteria classification of the subcategory generated by
+    a family.
 
     Fires, in order: big (a positive-rank class alongside a sphere-like
     torsion class, the pair being the witnesses); quiver-like (the family
@@ -404,16 +402,17 @@ def classify_generated(w: WplData, g: Collection) -> Classification:
     to a bundle is 0, so vertex-like parts with no Homs from the bundles
     to the torsion make a vertex-like family.
     """
-    objs = [_validate(w, f) for f in g.objects]
+    objs = [_validate(w, f) for f in family]
     if not objs:
         raise ModelMismatch("classify_generated needs a non-empty collection")
     bundles = [f for f in objs if rank_of(f) > 0]
     spheres = [f for f in objs if is_sphere_like(w, f)]
     if bundles and spheres:
         return Classification(ClassifyKind.BIG, witnesses=(bundles[0], spheres[0]))
-    if is_vertex_like(w, g):
-        return Classification(ClassifyKind.QUIVER_LIKE, quiver=ext_quiver_of(w, g))
-    return Classification(ClassifyKind.UNDETERMINED)
+    try:
+        return Classification(ClassifyKind.QUIVER_LIKE, quiver=ext_quiver_of(w, family))
+    except NotVertexLike:
+        return Classification(ClassifyKind.UNDETERMINED)
 
 
 def star_collection(w: WplData, tops) -> tuple:
@@ -431,15 +430,11 @@ def star_collection(w: WplData, tops) -> tuple:
     for b, r in zip(tops, ws.r):
         if not 0 <= b <= r - 1:
             raise ModelMismatch(f"arm length {b} out of range for weight {r}")
-    bundles = [LineBundle(lgroup.zero(ws))]
-    for i in range(1, ws.p + 1):
-        xi = lgroup.xbar(ws, i)
-        bundles.extend(LineBundle(lgroup.scale(ws, b, xi)) for b in range(1, tops[i - 1] + 1))
     dual = []
     for i in range(1, ws.p + 1):
         dual.extend(TorsionW(i, j % ws.r[i - 1], 1) for j in range(tops[i - 1], 0, -1))
-    dual.append(LineBundle(lgroup.zero(ws)))
-    return Collection(bundles), Collection(dual)
+    bundles = _arm_bundles(ws, tops)
+    return bundles, (*dual, bundles[0])
 
 
 # -- literals ------------------------------------------------------------------

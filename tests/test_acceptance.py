@@ -10,6 +10,7 @@ import random
 import time
 from math import comb
 
+from test_quiver import arrow_count
 from test_serial import expected_factor_quiver, mapped_family_quiver
 from test_wpl import random_classes
 from wpcalc import lgroup, nilrep, wpl
@@ -26,7 +27,6 @@ from wpcalc.serial import (
     realize,
 )
 from wpcalc.wpl import (
-    Collection,
     LineBundle,
     TorsionO,
     TorsionW,
@@ -75,7 +75,7 @@ def test_criterion_3_kronecker_pair_fixture():
     lam = lgroup.parse_element(w.weights, "-c+x1+x2+x3+x4")
     L, O = LineBundle(lam), LineBundle(lgroup.zero(w.weights))
     assert hom_ext(w, L, O) == (0, 2)
-    q = ext_quiver_of(w, Collection([L, O]))
+    q = ext_quiver_of(w, [L, O])
     assert len(q.vertices) == 2
     assert q.arrows == ((str(O), str(L)), (str(O), str(L)))
     _report(3, "hom_ext(L, O) = (0, 2) and Ext-quiver is the 2-Kronecker")
@@ -150,7 +150,7 @@ def test_criterion_7_lemma_on_simples():
         for i in vertices:
             for j in vertices:
                 si, sj = nilrep.simple_rep(q, i), nilrep.simple_rep(q, j)
-                assert nilrep.ext1_dim(si, sj) == q.arrow_count(j, i)
+                assert nilrep.ext1_dim(si, sj) == arrow_count(q, j, i)
                 checked += 1
     _report(7, f"ext1(s_i, s_j) = #arrows(j -> i) on 50 random quivers ({checked} pairs)")
 
@@ -180,7 +180,7 @@ def test_criterion_9_twist_identities():
     for p in (1, 2):
         for rs in itertools.product((2, 3, 4, 5), repeat=p):
             w = WplData(Weights(rs), ["y"])
-            gens = list(canonical_collection(w).objects)
+            gens = list(canonical_collection(w))
             for i in range(1, p + 1):
                 r = rs[i - 1]
                 gens.extend(TorsionW(i, t, length) for t in range(r) for length in (1, r))

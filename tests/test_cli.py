@@ -268,6 +268,36 @@ def test_plain_queries_load_no_json_dataclasses_or_quiver():
     assert len(lines) == 5 and json.loads(lines[4]) == {"hom": 2, "ext1": 0}
 
 
+@pytest.mark.parametrize(
+    "argv, first_line, code",
+    [
+        # the listing is far longer than a pipe holds, so the writer is
+        # still writing when the pipe closes
+        (["line", "enumerate", "8"], b"A(8): 4862 thick subcategories\n", 0),
+        # a bad literal is still an input error when its JSON error
+        # document finds the pipe closed
+        (["hom", "--json", "--weights", "2", "Q", "O(0)"], None, 2),
+    ],
+    ids=["listing", "error document"],
+)
+def test_closed_pipe_ends_quietly(argv, first_line, code):
+    """A reader that closes the pipe early ends the output, not the input:
+    the exit code is the command's, with nothing on stderr rather than a
+    BrokenPipeError traceback."""
+    src = str(Path(wpcalc.__file__).parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wpcalc.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (code, b"")
+
+
 class TestLongInputs:
     @pytest.mark.parametrize(
         "f, g, expected",
@@ -409,17 +439,19 @@ class TestErrors:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unnameable_ordinary_label_exit_2(self, capsys, tmp_path, source):
-        # no T(...) literal can name a label that contains ')'
-        if source == "flag":
-            model = ["--weights", "2", "--ordinary", "a)"]
-        else:
-            cfg = tmp_path / "model.json"
-            cfg.write_text(json.dumps({"weights": [2], "ordinary": ["a)"]}))
-            model = ["--config", str(cfg)]
-        code, out, err = run(capsys, "hom", *model, "O(0)", "O(0)")
-        assert (code, out) == (2, "")
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error [ParseError]: ordinary label 'a)'")
+        # no T(...) literal can name a label that contains ')', nor one with
+        # a digit run that literals may not hold
+        for label, message in [("a)", "ordinary label 'a)'"), ("y" + ONES, "literal has a run of")]:
+            if source == "flag":
+                model = ["--weights", "2", "--ordinary", label]
+            else:
+                cfg = tmp_path / "model.json"
+                cfg.write_text(json.dumps({"weights": [2], "ordinary": [label]}))
+                model = ["--config", str(cfg)]
+            code, out, err = run(capsys, "hom", *model, "O(0)", "O(0)")
+            assert (code, out) == (2, "")
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error [ParseError]: " + message)
 
     def test_input_error_exit_2(self, capsys):
         code, out, err = run(capsys, "tube", "enumerate", "9")

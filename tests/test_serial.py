@@ -15,7 +15,7 @@ from wpcalc.errors import (
     NoTranslationForLine,
     ParseError,
 )
-from wpcalc.quiver import ExtMatrix, Quiver, ext_quiver, same_multigraph
+from wpcalc.quiver import Quiver, ext_quiver, same_multigraph
 from wpcalc.serial import (
     MAX_CYCLE_RANK,
     MAX_LINE_RANK,
@@ -276,7 +276,7 @@ def mapped_family_quiver(emb):
             labels.append((fi, a))
             objects.append(img)
     rows = [[dims(x, y).ext1 for y in objects] for x in objects]
-    return ext_quiver(ExtMatrix(labels, rows)), objects
+    return ext_quiver(labels, rows), objects
 
 
 def embed(factor, a):

@@ -16,11 +16,10 @@ from wpcalc.errors import (
     UnknownVertex,
 )
 from wpcalc.lgroup import LElement, Weights
-from wpcalc.quiver import ExtMatrix, Quiver, same_multigraph
+from wpcalc.quiver import Quiver, same_multigraph
 from wpcalc.serial import cycle, enumerate_thick, shape_of_thick
 from wpcalc.wpl import (
     ClassifyKind,
-    Collection,
     LineBundle,
     TorsionO,
     TorsionW,
@@ -144,20 +143,19 @@ class TestValueTypes:
     def test_reprs(self):
         lam = lgroup.normalize(Weights((2, 3)), 1, [1, 2])
         q = Quiver([1, 2], [(1, 2)])
-        classified = classify_generated(W23, Collection([TorsionW(1, 1, 1), TorsionW(2, 1, 1)]))
+        classified = classify_generated(W23, [TorsionW(1, 1, 1), TorsionW(2, 1, 1)])
         reprs = [
             (Weights((2, 3)), "Weights(r=(2, 3))"),
             (lam, "LElement(a=1, b=(1, 2))"),
             (q, "Quiver(vertices=(1, 2), arrows=((1, 2),))"),
-            (ExtMatrix(["a", "b"], [[0, 1], [0, 0]]), "ExtMatrix(labels=('a', 'b'), ext1=((0, 1), (0, 0)))"),
             (W23, "WplData(weights=Weights(r=(2, 3)), ordinary=('y',))"),
             (LineBundle(lam), "LineBundle(lam=LElement(a=1, b=(1, 2)))"),
             (TorsionW(1, 1, 2), "TorsionW(i=1, top=1, length=2)"),
             (TorsionO("y", 1), "TorsionO(y='y', length=1)"),
             (
                 canonical_collection(WplData((2,))),
-                "Collection(objects=(LineBundle(lam=LElement(a=0, b=(0,))), "
-                "LineBundle(lam=LElement(a=0, b=(1,))), LineBundle(lam=LElement(a=1, b=(0,)))))",
+                "(LineBundle(lam=LElement(a=0, b=(0,))), "
+                "LineBundle(lam=LElement(a=0, b=(1,))), LineBundle(lam=LElement(a=1, b=(0,))))",
             ),
             (
                 perp_exceptional_torsion(WplData((3, 3)), TorsionW(1, 1, 1)),
@@ -179,8 +177,6 @@ class TestValueTypes:
             (Weights([2, 3]), Weights(("2", 3))),
             (WplData((2, 3), ["z", "y"]), WplData(Weights((2, 3)), ("y", "z"))),
             (Quiver(range(2), [[0, 1]]), Quiver((0, 1), ((0, 1),))),
-            (ExtMatrix("ab", [[0, 1], [0, 0]]), ExtMatrix(("a", "b"), (("0", 1), (0, 0)))),
-            (Collection([TorsionO("y", 1)]), Collection((TorsionO("y", 1),))),
             (parse_sheaf(W23, "O(c+3x1)"), LineBundle(LElement(2, (1, 0)))),
             (parse_sheaf(W23, "S(2,4)[2]"), TorsionW(2, 1, 2)),
         ]
@@ -205,14 +201,12 @@ class TestValueTypes:
             (Weights((2,)), "r"),
             (LElement(0, ()), "a"),
             (Quiver([1], []), "arrows"),
-            (ExtMatrix([], []), "labels"),
             (W23, "ordinary"),
             (LineBundle(LElement(0, ())), "lam"),
             (TorsionW(1, 0, 1), "top"),
             (TorsionO("y", 1), "length"),
-            (Collection([]), "objects"),
             (perp_exceptional_torsion(W3333, TorsionW(1, 1, 1)), "dropped_point"),
-            (classify_generated(W23, Collection([TorsionW(1, 1, 1)])), "quiver"),
+            (classify_generated(W23, [TorsionW(1, 1, 1)]), "quiver"),
         ]
         for obj, field in objs:
             with pytest.raises(AttributeError):
@@ -226,17 +220,18 @@ class TestValueTypes:
             (lambda: WplData([2], ["x2"]), ParseError),
             (lambda: Quiver([1, 1], []), UnknownVertex),
             (lambda: Quiver([1], [(1, 2)]), UnknownVertex),
-            (lambda: ExtMatrix(["a"], [[0, 0]]), ParseError),
-            (lambda: ExtMatrix(["a"], [[-1]]), ParseError),
-            # a label with ')' could not be named by a T(...) literal
+            (lambda: WplData([2], [" "]), ParseError),  # empty once stripped
+            # a label with ')' could not be named by a T(...) literal, nor
+            # one with a digit run that parse_sheaf refuses
             (lambda: WplData([2], ["a)"]), ParseError),
+            (lambda: WplData([2], ["y" + "1" * 5000]), ParseError),
             (lambda: wpl._validate(W23, TorsionW(1, 0, 0)), ModelMismatch),
             (lambda: wpl._validate(W23, TorsionO("y", 0)), ModelMismatch),
             (lambda: wpl._validate(W23, "O(0)"), ModelMismatch),
             (lambda: wpl._resolve_point(W23, 3), UnknownPoint),
             (lambda: wpl._resolve_point(W23, 0), UnknownPoint),
             (lambda: top_m(W23, "x1", O(W23).lam, 0), ModelMismatch),
-            (lambda: classify_generated(W23, Collection([])), ModelMismatch),
+            (lambda: classify_generated(W23, ()), ModelMismatch),
             (lambda: star_collection(W23, [2, 0]), ModelMismatch),
             (lambda: star_collection(W23, [0, -1]), ModelMismatch),
         ],
@@ -566,9 +561,9 @@ class TestTop:
 
 class TestCollections:
     def test_canonical_lengths(self):
-        assert len(canonical_collection(W23).objects) == 5
-        assert len(canonical_collection(WP1).objects) == 2
-        assert len(canonical_collection(W3333).objects) == 10
+        assert len(canonical_collection(W23)) == 5
+        assert len(canonical_collection(WP1)) == 2
+        assert len(canonical_collection(W3333)) == 10
 
     def test_canonical_exceptional_small_weights(self):
         for p in range(0, 5):
@@ -581,14 +576,14 @@ class TestCollections:
         # exceptional in this order; the forward Ext^1(L, O) = 2 only
         # obstructs strongness
         L = O(W2222, "-c+x1+x2+x3+x4")
-        pair = Collection([L, O(W2222)])
+        pair = (L, O(W2222))
         assert is_vertex_like(W2222, pair)
         assert is_exceptional_sequence(W2222, pair)
         assert hom_ext(W2222, O(W2222), L) == (0, 0)
-        assert not is_exceptional_sequence(W2222, Collection([O(W2222), L]))
+        assert not is_exceptional_sequence(W2222, (O(W2222), L))
 
     def test_long_torsion_fails_both(self):
-        c = Collection([TorsionW(1, 0, 4)])  # length > r_1 = 3
+        c = (TorsionW(1, 0, 4),)  # length > r_1 = 3
         assert not is_vertex_like(W3333, c)
         assert not is_exceptional_sequence(W3333, c)
 
@@ -602,8 +597,8 @@ class TestCollections:
 
     def test_star_arms_of_length_two(self):
         bundles, dual = star_collection(W3333, [2, 0, 1, 0])
-        assert len(bundles.objects) == 1 + 2 + 0 + 1 + 0
-        assert [str(f) for f in dual.objects] == ["S(1,2)", "S(1,1)", "S(3,1)", "O(0)"]
+        assert len(bundles) == 1 + 2 + 0 + 1 + 0
+        assert [str(f) for f in dual] == ["S(1,2)", "S(1,1)", "S(3,1)", "O(0)"]
         assert is_vertex_like(W3333, dual)
         q = ext_quiver_of(W3333, dual)
         assert sorted(q.arrows) == sorted(
@@ -612,7 +607,7 @@ class TestCollections:
 
     def test_ext_quiver_requires_vertex_like(self):
         with pytest.raises(NotVertexLike):
-            ext_quiver_of(W2222, Collection([O(W2222), O(W2222, "c")]))
+            ext_quiver_of(W2222, [O(W2222), O(W2222, "c")])
 
     def test_relative_simples_of_tube_subcategories(self):
         # the relative simples of every nonzero thick subcategory of U(n),
@@ -622,7 +617,7 @@ class TestCollections:
         for n in range(2, 7):
             w = WplData(Weights([n]))
             for t in enumerate_thick(cycle(n))[1:]:
-                family = Collection(TorsionW(1, a.top, a.length) for a in t.relative_simples())
+                family = [TorsionW(1, a.top, a.length) for a in t.relative_simples()]
                 got = by_position(ext_quiver_of(w, family))
                 assert same_multigraph(got, by_position(expected_factor_quiver(t.embedding)))
                 checked += 1
@@ -639,7 +634,7 @@ class TestCollections:
             assert same_multigraph(got, by_position(expected_factor_quiver(t.embedding)))
 
     def test_single_exceptional_simple(self):
-        q = ext_quiver_of(W3333, Collection([TorsionW(1, 1, 1)]))
+        q = ext_quiver_of(W3333, [TorsionW(1, 1, 1)])
         assert q.arrows == ()
 
 
@@ -665,7 +660,7 @@ class TestPerpTorsion:
         # the reduced tube family is a single sphere-like class: Z_1 shape
         (gen,) = res.tube_generators
         assert is_sphere_like(w, gen)
-        q = ext_quiver_of(w, Collection([gen]))
+        q = ext_quiver_of(w, [gen])
         assert q.arrows == ((str(gen), str(gen)),)
 
     def test_tube_generators_match_serial_recipe(self):
@@ -730,13 +725,13 @@ class TestCountBig:
 
 class TestClassify:
     def test_big_witnesses(self):
-        g = Collection([O(W2222), TorsionW(1, 1, 2)])
+        g = [O(W2222), TorsionW(1, 1, 2)]
         res = classify_generated(W2222, g)
         assert res.kind == ClassifyKind.BIG
         assert res.witnesses == (O(W2222), TorsionW(1, 1, 2))
 
     def test_quiver_like_kronecker(self):
-        g = Collection([O(W2222, "-c+x1+x2+x3+x4"), O(W2222)])
+        g = [O(W2222, "-c+x1+x2+x3+x4"), O(W2222)]
         res = classify_generated(W2222, g)
         assert res.kind == ClassifyKind.QUIVER_LIKE
         assert len(res.quiver.vertices) == 2
@@ -753,12 +748,30 @@ class TestClassify:
         assert len(res.quiver.vertices) == 5
         assert all(s == "O(0)" for s, _ in res.quiver.arrows)
 
+    @pytest.mark.parametrize("read", [classify_generated, ext_quiver_of])
+    def test_one_table_per_family(self, monkeypatch, read):
+        # vertex-like test, Ext-quiver and classification share one n x n
+        # hom_ext table
+        calls = []
+        original = wpl.hom_ext
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(wpl, "hom_ext", counted)
+        _, dual = star_collection(W3333, [1, 1, 1, 1])
+        assert len(dual) == 5 and is_vertex_like(W3333, dual)
+        calls.clear()
+        read(W3333, dual)
+        assert len(calls) == 25
+
     def test_undetermined(self):
-        g = Collection([O(W2222), O(W2222, "c"), O(W2222, "2c")])
+        g = [O(W2222), O(W2222, "c"), O(W2222, "2c")]
         assert classify_generated(W2222, g).kind == ClassifyKind.UNDETERMINED
 
     def test_ordinary_sphere_counts(self):
-        g = Collection([O(W23), TorsionO("y", 1)])
+        g = [O(W23), TorsionO("y", 1)]
         assert classify_generated(W23, g).kind == ClassifyKind.BIG
 
     def test_every_big_carries_a_bundle_and_a_sphere(self):
@@ -769,7 +782,7 @@ class TestClassify:
         for w in (W2222, W3333, W23, WP1):
             for _ in range(150):
                 family = random_classes(w, rng, rng.randint(1, 4))
-                res = classify_generated(w, Collection(family))
+                res = classify_generated(w, family)
                 has_bundle = any(wpl.rank_of(f) > 0 for f in family)
                 has_sphere = any(is_sphere_like(w, f) for f in family)
                 assert (res.kind == ClassifyKind.BIG) == (has_bundle and has_sphere)
@@ -798,9 +811,9 @@ class TestClassify:
                 continue
             if any(hom_ext(w, v, t).hom for v in bundles for t in torsion):
                 continue
-            if not (is_vertex_like(w, Collection(bundles)) and is_vertex_like(w, Collection(torsion))):
+            if not (is_vertex_like(w, bundles) and is_vertex_like(w, torsion)):
                 continue
             splits += 1
-            assert is_vertex_like(w, Collection(family)), family
-            assert classify_generated(w, Collection(family)).kind == ClassifyKind.QUIVER_LIKE
+            assert is_vertex_like(w, family), family
+            assert classify_generated(w, family).kind == ClassifyKind.QUIVER_LIKE
         assert splits > 100
