@@ -95,7 +95,7 @@ def omega(w: Weights) -> LElement:
     return LElement(-2, tuple(r - 1 for r in w.r))
 
 
-_TERM = re.compile(r"([+-]?)(\d+)?(?:\*)?(c|x(\d+))?")
+_TERM = re.compile(r"([+-]?)(?:(\d+)(?:\*(?=c|x\d))?)?(c|x(\d+))?")
 _SPLIT_NUMBER = re.compile(r"\d\s+\d")
 
 
@@ -104,7 +104,8 @@ def parse_element(w: Weights, text: str) -> LElement:
 
     A bare integer term contributes to the c coefficient, so ``0`` is the
     zero element and ``3`` means 3c.  Every term after the first starts
-    with ``+`` or ``-``; spaces are ignored except inside a number.
+    with ``+`` or ``-``; spaces are ignored except inside a number.  A
+    ``*`` may stand only between a coefficient and its generator (``2*x1``).
     """
     check_digit_runs(text)
     if _SPLIT_NUMBER.search(text):

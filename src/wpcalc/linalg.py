@@ -1,20 +1,17 @@
 """Exact linear algebra over the rationals, on Python ints.
 
-Just enough for the intertwiner solves in :mod:`wpcalc.nilrep`.  A
-matrix is a list of rows whose entries are ``int`` wherever they are
-integral and ``fractions.Fraction`` only where the denominator is not 1
-(:func:`exact_matrix` puts entries in this form).  :func:`rank` works on
-sparse rows, so its cost follows the nonzero entries: it clears each
-row's denominators once, which does not change the rank, and then
-eliminates fraction-free on int rows.  No pivoting heuristics and no
-modular or floating-point shortcut: the systems here are tiny and the
-arithmetic is exact.
+Just enough for the intertwiner solves in :mod:`wpcalc.nilrep`.  A row
+is a sparse ``{column: entry}`` dict whose entries are ``int`` wherever
+they are integral and ``fractions.Fraction`` only where the denominator
+is not 1 (:func:`exact` puts an entry in this form).  :func:`rank`'s cost
+follows the nonzero entries: it clears each row's denominators once,
+which does not change the rank, and then eliminates fraction-free on
+int rows.  No pivoting heuristics and no modular or floating-point
+shortcut: the systems here are tiny and the arithmetic is exact.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-Matrix = list[list[int | Fraction]]
 
 
 def exact(x):
@@ -25,20 +22,11 @@ def exact(x):
     return q.numerator if q.denominator == 1 else q
 
 
-def exact_matrix(rows, nrows, ncols) -> Matrix:
-    """Copy ``rows`` into a fresh nrows x ncols matrix of exact entries."""
-    return [[exact(rows[i][j]) for j in range(ncols)] for i in range(nrows)]
-
-
-def zero_matrix(nrows, ncols) -> Matrix:
-    return [[0] * ncols for _ in range(nrows)]
-
-
 def rank(rows) -> int:
     """Rank over Q by sparse, fraction-free elimination.
 
-    Each row is a ``{column: entry}`` dict or a dense list; entries are
-    ints or Fractions, and ``rows`` is left unchanged.  A row, once its
+    Each row is a ``{column: entry}`` dict; entries are ints or
+    Fractions, and ``rows`` is left unchanged.  A row, once its
     denominators are cleared, is reduced against the pivot rows kept so
     far, keyed by their leading (smallest) column: ``a·row − b·pivot``,
     with ``a/b`` the reduced ratio of the two leading entries, clears
@@ -48,8 +36,7 @@ def rank(rows) -> int:
     """
     pivots = {}
     for row in rows:
-        items = row.items() if type(row) is dict else enumerate(row)
-        r = {c: x for c, x in items if x}
+        r = {c: x for c, x in row.items() if x}
         for x in r.values():
             if type(x) is not int:
                 d = lcm(*[x.denominator for x in r.values()])
@@ -79,8 +66,8 @@ def rank(rows) -> int:
 def kernel_dimension(rows, ncols) -> int:
     """Dimension of the solution space of the homogeneous system ``rows``.
 
-    ``rows`` is a list of coefficient rows over columns ``0..ncols-1``,
-    sparse or dense as :func:`rank` takes them; an empty list means no
+    ``rows`` is a list of ``{column: entry}`` rows over columns
+    ``0..ncols-1``, as :func:`rank` takes them; an empty list means no
     constraints.
     """
     return ncols - rank(rows)

@@ -18,9 +18,11 @@ vanishes or its exponent reaches the total dimension.  ``hom_ext1``
 takes the Euler term straight from the two reps' ``dims``, with no copy
 and no key check; :func:`euler_form` checks its keys first.
 
-Entries are exact rationals held as ``int`` wherever they are integral
-(:func:`wpcalc.linalg.exact`), so the matrices built from arcs are int
-matrices end to end and no ``Fraction`` arithmetic runs on them.
+A Rep holds each arrow matrix only as the sparse list of its nonzero
+entries; nothing here builds a dense matrix.  Entries are exact
+rationals held as ``int`` wherever they are integral
+(:func:`wpcalc.linalg.exact`), so the reps built from arcs carry int
+entries end to end and no ``Fraction`` arithmetic runs on them.
 """
 
 from math import lcm
@@ -31,16 +33,16 @@ from .quiver import Quiver
 
 
 class Rep:
-    """A nilpotent representation: dims per vertex, matrix per arrow.
+    """A nilpotent representation: dims per vertex, sparse matrix per arrow.
 
-    ``mats[k]`` belongs to ``quiver.arrows[k] = (u, v)`` and has shape
-    ``(dims[u], dims[v])`` (right action, fiber at v -> fiber at u);
-    ``nonzeros[k]`` lists its nonzero entries as ``(i, j, entry)``.  A
-    matrix may be given as ``[]`` for zero; on an arrow with a
-    zero-dimensional end it is stored as ``[]``, and any other given
-    form than ``[]`` or k empty rows for a k x 0 shape is rejected.
-    Entries are normalized once, to ints where integral; values are
-    treated as immutable after construction.
+    The matrix of ``quiver.arrows[k] = (u, v)`` has shape
+    ``(dims[u], dims[v])`` (right action, fiber at v -> fiber at u) and
+    is held only as ``nonzeros[k]``, the list of its nonzero entries
+    ``(i, j, entry)`` in row-major order.  A matrix is given as a list of
+    rows, or as ``[]`` for zero; with a zero-dimensional end only ``[]``
+    or k empty rows for a k x 0 shape fit.  Each given entry is read once,
+    as an exact rational (an int where integral), so later changes to the
+    given rows do not reach the Rep.
     """
 
     def __init__(self, quiver: Quiver, dims, mats):
@@ -57,36 +59,27 @@ class Rep:
         mats = list(mats)
         if len(mats) != len(quiver.arrows):
             raise ValueError("need one matrix per arrow")
-        self.mats = []
+        exact = linalg.exact
         self.nonzeros = []
         for (u, v), m in zip(quiver.arrows, mats):
             nrows, ncols = self.dims[u], self.dims[v]
             if m and (len(m) != nrows or any(len(r) != ncols for r in m)):
                 raise ValueError(f"matrix for arrow ({u!r},{v!r}) must be {nrows}x{ncols}")
-            if nrows == 0 or ncols == 0:
-                m = []
-            elif not m:
-                m = linalg.zero_matrix(nrows, ncols)
-            else:
-                m = linalg.exact_matrix(m, nrows, ncols)
-            self.mats.append(m)
             self.nonzeros.append(
-                [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+                [(i, j, x) for i in range(nrows) for j in range(ncols) if (x := exact(m[i][j]))]
+                if m
+                else []
             )
         if not self._is_nilpotent():
             raise ValueError("representation is not nilpotent")
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
 
     def _is_nilpotent(self) -> bool:
         """T^n = 0 for the total action T on the n-dimensional total space.
 
         T is kept as sparse rows ``{row: {col: entry}}`` of its nonzero
-        entries, built from :attr:`nonzeros`; no dense n x n matrix is made.  The check runs
-        on d·T, with d the lcm of T's denominators, which is nilpotent
-        exactly when T is; squaring reaches an exponent >= n in about
-        log2(n) products.
+        entries, built from :attr:`nonzeros`.  The check runs on d·T, with
+        d the lcm of T's denominators, which is nilpotent exactly when T
+        is; squaring reaches an exponent >= n in about log2(n) products.
         The entries decide, not the support: ``[[1, 1], [-1, -1]]`` on a
         loop is nilpotent although its support has a cycle.
         """
@@ -139,18 +132,7 @@ def simple_rep(q: Quiver, v) -> Rep:
     """The simple module concentrated at vertex ``v``: all matrices zero."""
     if v not in q.vertices:
         raise UnknownVertex(f"unknown vertex {v!r}")
-    dims = {w: (1 if w == v else 0) for w in q.vertices}
-    mats = []
-    for (u, w) in q.arrows:
-        if dims[u] and dims[w]:
-            mats.append([[0]])
-        else:
-            mats.append([])
-    return Rep(q, dims, mats)
-
-
-def dim_vector(rep: Rep) -> dict:
-    return dict(rep.dims)
+    return Rep(q, {v: 1}, [[] for _ in q.arrows])
 
 
 def hom_dim(m: Rep, n: Rep) -> int:

@@ -465,7 +465,7 @@ class TestErrors:
         assert "UnknownPoint" in err
 
     def test_unsigned_or_split_terms_exit_2(self, capsys):
-        for literal in ("O(1 2)", "O(x1x2)", "O(cc)", "O(2c3x1)"):
+        for literal in ("O(1 2)", "O(x1x2)", "O(cc)", "O(2c3x1)", "O(3*)", "O(*c)", "O(*x1)"):
             code, out, err = run(capsys, "twist", "c", "x1", literal, "--weights", "2,3")
             assert code == 2 and out == ""
             assert len(err.strip().splitlines()) == 1 and "ParseError" in err

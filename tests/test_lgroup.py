@@ -103,6 +103,7 @@ class TestParseFormat:
         assert parse_element(W4, "2c + x1 - 3x2") == normalize(W4, 2, [1, -3, 0, 0])
         assert parse_element(W4, "0") == zero(W4)
         assert parse_element(W0, "3") == LElement(3, ())
+        assert parse_element(W4, "2*x1") == parse_element(W4, "2x1") == normalize(W4, 0, [2, 0, 0, 0])
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -111,8 +112,9 @@ class TestParseFormat:
             parse_element(W3, "c+")
         with pytest.raises(ParseError):
             parse_element(W3, "")
-        # terms after the first need a sign; whitespace may not split a number
-        for text in ("1 2", "x1x2", "cc", "2c3x1"):
+        # terms after the first need a sign; whitespace may not split a
+        # number; a * stands only between a coefficient and its generator
+        for text in ("1 2", "x1x2", "cc", "2c3x1", "3*", "*c", "*x1", "c*", "x1*"):
             with pytest.raises(ParseError):
                 parse_element(W4, text)
         assert parse_element(W4, "2c + x1 - 3x2") == normalize(W4, 2, [1, -3, 0, 0])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_serial
-from test_linalg import dense_rank_oracle, mat_mul
+from test_linalg import dense_matrices, dense_rank_oracle, mat_mul
 from test_quiver import arrow_count
 from wpcalc import linalg, nilrep, serial
 from wpcalc.errors import NonNegativityViolation, QuiverMismatch, UnknownVertex
@@ -35,10 +35,10 @@ class TestConstruction:
     def test_simple_rep(self):
         s = nilrep.simple_rep(LOOP, 0)
         assert s.dims == {0: 1}
-        assert s.mats[0] == [[0]]
+        assert s.nonzeros == [[]]
         s2 = nilrep.simple_rep(A2, 2)
         assert s2.dims == {1: 0, 2: 1}
-        assert s2.mats[0] == []
+        assert s2.nonzeros == [[]]
         k1 = nilrep.simple_rep(KRONECKER, 1)
         assert k1.dims == {1: 1, 2: 0}
 
@@ -47,8 +47,18 @@ class TestConstruction:
             nilrep.Rep(LOOP, {0: 1}, [[[1]]])
 
     def test_accepts_nilpotent_loop(self):
-        r = nilrep.Rep(LOOP, {0: 2}, [[[0, 0], [1, 0]]])
-        assert r.total_dim() == 2
+        m = [[0, 0], [1, 0]]
+        r = nilrep.Rep(LOOP, {0: 2}, [m])
+        assert r.dims == {0: 2} and r.nonzeros == [[(1, 0, 1)]]
+        j1 = jordan(1)
+        answers = (nilrep.hom_dim(r, r), nilrep.hom_ext1(r, j1), nilrep.hom_ext1(j1, r))
+        assert answers == (2, (1, 1), (1, 1))
+        # the rep keeps its own copy: changing the given rows reaches neither
+        # its entries nor any answer
+        m[0][1] = 1
+        m.append([1, 1])
+        assert r.nonzeros == [[(1, 0, 1)]]
+        assert (nilrep.hom_dim(r, r), nilrep.hom_ext1(r, j1), nilrep.hom_ext1(j1, r)) == answers
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -84,7 +94,7 @@ class TestConstruction:
         ]
         for dims, accepted, rejected in cases:
             for m in accepted:
-                assert nilrep.Rep(q, dims, [m]).mats == [[]]
+                assert nilrep.Rep(q, dims, [m]).nonzeros == [[]]
             for m in rejected:
                 with pytest.raises(ValueError, match="must be"):
                     nilrep.Rep(q, dims, [m])
@@ -149,8 +159,7 @@ def dense_hom_dim_oracle(m, n):
         return var_offset[v] + row * m.dims[v] + col
 
     rows = []
-    for k, (u, v) in enumerate(q.arrows):
-        am, an = m.mats[k], n.mats[k]
+    for (u, v), am, an in zip(q.arrows, dense_matrices(m), dense_matrices(n)):
         for r in range(n.dims[u]):
             for c in range(m.dims[v]):
                 row = [0] * nvars
@@ -221,7 +230,7 @@ def dense_is_nilpotent_oracle(q, dims, mats):
     for v in q.vertices:
         offset[v] = n
         n += dims.get(v, 0)
-    big = linalg.zero_matrix(n, n)
+    big = [[0] * n for _ in range(n)]
     for (u, v), m in zip(q.arrows, mats):
         for i, row in enumerate(m):
             for j, x in enumerate(row):
@@ -307,7 +316,7 @@ class TestSparseNilpotency:
         for _ in range(40):
             rep = random_cycle_rep(rng, rng.randint(1, 4))
             rep = test_serial._base_change(rng, rep, TestRationalEntries.SCALARS)
-            assert dense_is_nilpotent_oracle(rep.quiver, rep.dims, rep.mats)
+            assert dense_is_nilpotent_oracle(rep.quiver, rep.dims, dense_matrices(rep))
             assert rep._is_nilpotent()
 
 
@@ -340,7 +349,7 @@ class TestOneEulerRecipe:
 
     @staticmethod
     def _check(x, y):
-        d, e = nilrep.dim_vector(x), nilrep.dim_vector(y)
+        d, e = dict(x.dims), dict(y.dims)
         _, ext = nilrep.hom_ext1(x, y)
         assert ext == nilrep.hom_dim(x, y) - nilrep.euler_form(x.quiver, d, e)
 
@@ -374,14 +383,14 @@ class TestExt1:
 
     def test_loop_jordan_pair(self):
         j2, j1 = jordan(2), jordan(1)
-        assert nilrep.euler_form(LOOP, nilrep.dim_vector(j2), nilrep.dim_vector(j1)) == 0
+        assert nilrep.euler_form(LOOP, j2.dims, j1.dims) == 0
         assert nilrep.hom_ext1(j2, j1) == (1, 1)
         # independent check: extension data B modulo coboundaries psi.N - N.psi
         n_j2 = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
         coboundaries = []
         for k in range(2):  # basis psi = e_k^T of Hom(k^2, k^1)
             psi = [[Fraction(1 if t == k else 0) for t in range(2)]]
-            coboundaries.append(mat_mul(psi, n_j2)[0])
+            coboundaries.append(dict(enumerate(mat_mul(psi, n_j2)[0])))
         assert 2 - linalg.rank(coboundaries) == 1
 
     def test_hom_ext1_is_hom_dim_and_ext1_dim(self):
@@ -428,10 +437,10 @@ def direct_sum(m, n):
     mats = []
     for k, (u, v) in enumerate(q.arrows):
         block = [[0] * dims[v] for _ in range(dims[u])]
-        for i, row in enumerate(m.mats[k]):
-            block[i][:len(row)] = row
-        for i, row in enumerate(n.mats[k]):
-            block[m.dims[u] + i][m.dims[v]:] = row
+        for i, j, x in m.nonzeros[k]:
+            block[i][j] = x
+        for i, j, x in n.nonzeros[k]:
+            block[m.dims[u] + i][m.dims[v] + j] = x
         mats.append(block)
     return nilrep.Rep(q, dims, mats)
 
@@ -441,14 +450,15 @@ def rotate_cycle_rep(rep):
     q = rep.quiver
     n = len(q.vertices)
     dims = {v: rep.dims[(v + 1) % n] for v in q.vertices}
-    mats = [rep.mats[(u + 1) % n] for (u, _) in q.arrows]
+    dense = dense_matrices(rep)
+    mats = [dense[(u + 1) % n] for (u, _) in q.arrows]
     return nilrep.Rep(q, dims, mats)
 
 
 class TestSerreDuality:
     def test_rotation_on_simples(self):
         s0 = nilrep.simple_rep(Z3, 0)
-        assert nilrep.dim_vector(rotate_cycle_rep(s0)) == {0: 0, 1: 0, 2: 1}
+        assert rotate_cycle_rep(s0).dims == {0: 0, 1: 0, 2: 1}
 
     def test_random_reps(self):
         rng = random.Random(2024)
@@ -468,9 +478,15 @@ class TestRationalEntries:
         rng = random.Random(17)
         arc = realize(Arc(cycle(2), 1, 4))
         for rep in (test_serial._base_change(rng, arc), test_serial._base_change(rng, arc, self.SCALARS)):
-            entries = [x for m in rep.mats for row in m for x in row]
+            entries = [x for nonzeros in rep.nonzeros for _, _, x in nonzeros]
             assert any(type(x) is Fraction for x in entries)
             assert all(type(x) is int or x.denominator != 1 for x in entries)
+        # given entries are read as ints where integral, and zeros in any
+        # form are not kept
+        rows = [[0, 0, 0], [Fraction(4, 2), 0.0, 0], [True, Fraction(1, 3), Fraction(0)]]
+        nonzeros = nilrep.Rep(LOOP, {0: 3}, [rows]).nonzeros
+        assert nonzeros == [[(1, 0, 2), (2, 0, 1), (2, 1, Fraction(1, 3))]]
+        assert [type(x) for _, _, x in nonzeros[0]] == [int, int, Fraction]
 
     def test_nilpotency_check_on_rational_entries(self):
         nilrep.Rep(LOOP, {0: 2}, [[[0, 0], [Fraction(1, 3), 0]]])

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from test_linalg import mat_mul
+from test_linalg import dense_matrices, mat_mul
 from wpcalc import linalg, nilrep, serial
 from wpcalc.errors import (
     BoundExceeded,
@@ -236,7 +236,7 @@ def _base_change(rng, rep, scalars=None):
             p[v], p_inv[v] = _random_invertible(rng, d)
     mats = [
         mat_mul(p[u], mat_mul(m, p_inv[v])) if m else []
-        for (u, v), m in zip(rep.quiver.arrows, rep.mats)
+        for (u, v), m in zip(rep.quiver.arrows, dense_matrices(rep))
     ]
     return nilrep.Rep(rep.quiver, rep.dims, mats)
 
@@ -888,8 +888,8 @@ class TestPaperChecks:
         for cat in ENUM_CATS:
             vector = {}
             for a in all_arcs(cat):
-                dv = nilrep.dim_vector(realize(a))
-                vector[a] = [dv[v] for v in sorted(dv)]
+                dv = realize(a).dims
+                vector[a] = dict(enumerate(dv[v] for v in sorted(dv)))
             for t in enumerate_thick(cat):
                 simples = [vector[a] for a in t.relative_simples()]
                 assert linalg.rank(simples) == len(simples), t
