@@ -14,10 +14,16 @@ without them.
 import argparse
 import os
 import sys
-from math import lgamma, log, log10
 
 from . import lgroup, serial, wpl
-from .errors import BoundExceeded, InputError, InternalError, ParseError, _digit_limit
+from .errors import (
+    BoundExceeded,
+    InputError,
+    InternalError,
+    ParseError,
+    _digit_limit,
+    check_digit_runs,
+)
 
 MAX_OUTPUT_OBJECTS = 10**5
 
@@ -33,13 +39,14 @@ def _weights_arg(text: str, flag: str = "--weights"):
 
 def _read_config(path: str):
     """(weights, ordinary labels) of a JSON weight config file."""
-    # ValueError covers bad JSON, bad UTF-8 and integers past the digit
-    # limit; RecursionError, arrays nested too deeply
+    # ValueError covers bad JSON and bad UTF-8; RecursionError, arrays
+    # nested too deeply.  Integers face the digit-run bound of literals,
+    # also where the interpreter has no int/str digit limit
     import json
 
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=lambda t: check_digit_runs(t) or int(t))
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read weight config {path!r}: {exc}") from exc
     if not isinstance(data, dict):
@@ -226,22 +233,15 @@ def _cmd_enumerate(args, kind):
 def _cmd_count_big(args):
     """Refuses a count with more digits than int-to-str conversion allows.
 
-    A log-gamma estimate of the digit count rejects large weights before
-    any binomial is computed; near the limit the exact count decides.
+    Each factor C(2r, r) / 2 is at least 2^(r-1), and 2^3.322 > 10, so
+    weights with 1000 * sum(r - 1) >= 3322 * limit are refused before any
+    binomial is computed; below that the exact count decides.
     """
     w = _model(args)
     limit = _digit_limit()
-    try:
-        # log10 of each factor C(2r, r) / 2; the float error is far below the margin of 1
-        digits = sum(
-            (lgamma(2 * r + 1) - 2 * lgamma(r + 1)) / log(10) - log10(2)
-            for r in w.weights.r
-        )
-    except OverflowError:  # a weight past the float range, or its lgamma
-        raise BoundExceeded("count-big weight is past the float range") from None
-    if not limit or digits <= limit + 1:
+    if 1000 * sum(r - 1 for r in w.weights.r) < 3322 * limit:
         n = wpl.count_big(w)
-        if not limit or n < 10**limit:
+        if n < 10**limit:
             _emit(args, {"count": n}, str(n))
             return
     raise BoundExceeded(f"count-big has more than {limit} decimal digits")

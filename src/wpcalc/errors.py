@@ -54,10 +54,6 @@ class BoundExceeded(InputError):
     pass
 
 
-class LengthMismatch(InputError):
-    pass
-
-
 class WeightMismatch(InputError):
     pass
 
@@ -79,17 +75,20 @@ class NotExceptionalTorsion(InputError):
 
 
 def _digit_limit() -> int:
-    """The interpreter's int/str conversion digit limit; 0 means none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """The interpreter's int/str conversion digit limit, or 4,300 where it has none.
+
+    4,300 is CPython's default limit.  Python 3.10 has no limit, and 0
+    (``PYTHONINTMAXSTRDIGITS=0``) switches it off.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def check_digit_runs(text: str):
     """Refuse a literal with a digit run near the int/str conversion limit.
 
-    A run of ``limit - 1`` digits or more raises ParseError (a limit of 0
-    means none), so a number built from parsed ones by a few additions
-    still converts back to text.
+    A run of ``limit - 1`` digits or more raises ParseError, so a number
+    built from parsed ones by a few additions still converts back to text.
     """
     limit = _digit_limit()
-    if limit and re.search(r"\d{%d}" % (limit - 1), text):
+    if re.search(r"\d{%d}" % (limit - 1), text):
         raise ParseError(f"literal has a run of {limit - 1} or more digits")

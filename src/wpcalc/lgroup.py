@@ -10,7 +10,7 @@ weight tuple is allowed (L = Z*c, ordinary projective line).
 import re
 from typing import NamedTuple
 
-from .errors import LengthMismatch, ParseError, WeightMismatch, check_digit_runs
+from .errors import ParseError, WeightMismatch, check_digit_runs
 
 
 class _WeightsFields(NamedTuple):
@@ -45,7 +45,7 @@ def normalize(w: Weights, raw_a: int, raw_b) -> LElement:
     """Unique normal form of raw_a*c + sum raw_b_i*x_i (carry into c)."""
     raw_b = list(raw_b)
     if len(raw_b) != w.p:
-        raise LengthMismatch(f"expected {w.p} coefficients, got {len(raw_b)}")
+        raise WeightMismatch(f"expected {w.p} coefficients, got {len(raw_b)}")
     a = int(raw_a)
     b = []
     for coef, r in zip(raw_b, w.r):

@@ -33,13 +33,13 @@ mask lists its arcs sorted, and masks sort like descriptors.
 The masks come from one zero table per category: entry (g, y) says
 whether Hom(g, y) and Ext^1(g, y) both vanish.  Its rows are the arcs'
 right masks, which the walk reads; its columns are the left masks, which
-closures read.  On a line, enumeration calls ``dims`` once per ordered
+closures read.  On a line the index calls ``dims`` once per ordered
 pair of arcs for the rows; on a rank-n tube, tau^-1 moves every bit by n,
 so ``dims`` runs only for the n arcs at top 0 (n^3 calls) and the other
-rows are rotations.  Every column is filled by transposing the rows; a
-single ``thick_closure`` reads few columns and fills only those, from
-``dims``.  The index itself is arithmetic: bit(t, l) is t*n + l - 1 on
-U_n and t(t-1)/2 + l - 1 on A_n.  Descriptors are built eagerly, their
+rows are rotations.  The columns are the rows transposed.  Counting,
+enumeration and ``thick_closure`` all read this one table.  The index
+itself is arithmetic: bit(t, l) is t*n + l - 1 on U_n and
+t(t-1)/2 + l - 1 on A_n.  Descriptors are built eagerly, their
 block structure from per-bit block-below and block-above masks; ``Arc``
 values are made only for their output tuples.  An intern table on the
 index, keyed by the mask of a factor's blocks, makes each distinct chain
@@ -355,11 +355,6 @@ def all_arcs(cat: SerialCat, max_length=None):
     ]
 
 
-def _zero_bits(pairs) -> int:
-    """Mask of the positions where (Hom, Ext^1) vanishes."""
-    return sum(1 << k for k, he in enumerate(pairs) if he == (0, 0))
-
-
 def _bits(mask: int) -> list:
     """Positions of the set bits of a mask, ascending."""
     out = []
@@ -378,16 +373,14 @@ class _ArcIndex:
     ``below[k]`` masks the arcs whose top is one step below arc k's socle,
     and ``above[k]`` the arcs whose socle sits one step below arc k's top.
     The zero table holds, for each ordered pair (g, y), whether
-    Hom(g, y) = Ext^1(g, y) = 0.  Row g is the right mask of g (the arcs
-    right-orthogonal to g); ``rows`` computes every row for the walk over
-    right orthogonals, and ``right`` one row, for an arc of any length.  On
-    a tube, bits run through the n lengths of one top and then the next,
-    so ``rows`` calls ``dims`` only for the n arcs at top 0 (n^3 calls)
-    and rotates their rows by n bits for each later top; a line's rows
-    take a ``dims`` call per ordered pair.  Column k is the left mask of
-    arc k (the arcs left-orthogonal to it): enumeration fills every left
-    mask by transposing the rows, and a single closure fills from
-    ``dims`` only the left masks it reads, in ``left_of``.
+    Hom(g, y) = Ext^1(g, y) = 0.  Row g, ``rows[g]``, is the right mask of
+    g (the arcs right-orthogonal to g); ``right`` computes one row, for an
+    arc of any length.  On a tube, bits run through the n lengths of one
+    top and then the next, so the index calls ``dims`` only for the n arcs
+    at top 0 (n^3 calls) and rotates their rows by n bits for each later
+    top; a line's rows take a ``dims`` call per ordered pair.  Column k,
+    ``left[k]``, is the left mask of arc k (the arcs left-orthogonal to
+    it), read off the rows by transposition.
     """
 
     def __init__(self, cat: SerialCat):
@@ -416,7 +409,21 @@ class _ArcIndex:
         # (sort key, factor) by the mask of the factor's blocks; a chain's
         # blocks never close up into a cycle, so one table holds both kinds
         self.factors = {}
-        self._left = [None] * len(self.arcs)
+        if cat.kind == "line":
+            rows = [self.right(g) for g in self.arcs]
+        else:
+            # arc (t+1, l) is tau^-1 of (t, l), and tau^-1 moves every bit by n
+            size = n * n
+            rows = [self.right(g) for g in self.arcs[:n]]
+            for k in range(size - n):
+                r = rows[k]
+                rows.append((r << n | r >> (size - n)) & self.full)
+        self.rows = rows
+        # bit y of column k is bit k of rows[y]
+        self.left = left = [0] * len(rows)
+        for y, row in enumerate(rows):
+            for k in _bits(row):
+                left[k] |= 1 << y
 
     def factor(self, cat: SerialCat, walk: list) -> tuple:
         """(sort key, factor ``cat`` whose simples are the arcs at ``walk``).
@@ -429,28 +436,7 @@ class _ArcIndex:
 
     def right(self, g: Arc) -> int:
         """Mask of the arcs right-orthogonal to g, an arc of any length."""
-        return _zero_bits(dims(g, y) for y in self.arcs)
-
-    def rows(self) -> list:
-        """The right mask of every arc, by bit."""
-        if self.cat.kind == "line":
-            return [self.right(g) for g in self.arcs]
-        # arc (t+1, l) is tau^-1 of (t, l), and tau^-1 moves every bit by n
-        n = self.cat.rank
-        size = n * n
-        rows = [self.right(g) for g in self.arcs[:n]]
-        for k in range(size - n):
-            r = rows[k]
-            rows.append((r << n | r >> (size - n)) & self.full)
-        return rows
-
-    def fill_left(self, rows: list) -> None:
-        """Fill every left mask from ``rows``: bit y of column k is bit k of rows[y]."""
-        left = [0] * len(rows)
-        for y, row in enumerate(rows):
-            for k in _bits(row):
-                left[k] |= 1 << y
-        self._left = left
+        return sum(1 << k for k, y in enumerate(self.arcs) if dims(g, y) == (0, 0))
 
     def minimal(self, mask: int, bits=None) -> list:
         """Bits of the members with no proper member subarc: the relative simples.
@@ -461,27 +447,12 @@ class _ArcIndex:
         return [k for k in (_bits(mask) if bits is None else bits) if not sub[k] & mask]
 
     def left_of(self, bits) -> int:
-        """Mask of the arcs left-orthogonal to every arc at the given bits.
-
-        A left mask not yet filled is filled from ``dims`` and kept.
-        """
+        """Mask of the arcs left-orthogonal to every arc at the given bits."""
         mask = self.full
-        left = self._left
+        left = self.left
         for k in bits:
-            if left[k] is None:
-                g = self.arcs[k]
-                left[k] = _zero_bits(dims(y, g) for y in self.arcs)
             mask &= left[k]
         return mask
-
-    def closure(self, right: int) -> int:
-        """Members of the thick subcategory whose right orthogonal is ``right``.
-
-        Double orthogonality: the closure T is admissible, so T = perp(T^perp);
-        reduce the right orthogonal to its relative simples and collect
-        everything left-orthogonal to those.
-        """
-        return self.left_of(self.minimal(right))
 
     def members(self, bits) -> tuple:
         """The arcs at the given bits."""
@@ -559,7 +530,10 @@ def thick_closure(cat: SerialCat, gens) -> ThickDesc:
         if g.cat != cat:
             raise CategoryMismatch(f"generator {g} is not in {cat}")
         right &= idx.right(g)
-    closed = idx.closure(right)
+    # double orthogonality: the closure T is admissible, so T = perp(T^perp);
+    # reduce the right orthogonal to its relative simples and collect
+    # everything left-orthogonal to those
+    closed = idx.left_of(idx.minimal(right))
     bits = _bits(closed)
     rel = idx.minimal(closed, bits)
     return _build_desc(idx, bits, rel, idx.minimal(idx.left_of(rel)))
@@ -612,7 +586,7 @@ def _capped_index(cat: SerialCat) -> _ArcIndex:
 def count_thick(cat: SerialCat) -> int:
     """Number of thick subcategories; closes none and builds no descriptor."""
     idx = _capped_index(cat)
-    return sum(1 for _ in _right_orthogonals(idx.full, idx.rows()))
+    return sum(1 for _ in _right_orthogonals(idx.full, idx.rows))
 
 
 def enumerate_thick(cat: SerialCat):
@@ -627,9 +601,7 @@ def enumerate_thick(cat: SerialCat):
     (popcount, ascending bits) before any descriptor is built.
     """
     idx = _capped_index(cat)
-    rows = idx.rows()
-    idx.fill_left(rows)
-    states = dict(_right_orthogonals(idx.full, rows))
+    states = dict(_right_orthogonals(idx.full, idx.rows))
     rel = {mask: idx.minimal(mask, bits) for mask, bits in states.items()}
     ordered = sorted(states, key=states.__getitem__)
     ordered.sort(key=int.bit_count)  # stable: ties keep the order of their bits

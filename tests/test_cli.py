@@ -298,6 +298,28 @@ def test_closed_pipe_ends_quietly(argv, first_line, code):
     assert (proc.wait(timeout=60), err) == (code, b"")
 
 
+def test_digit_bounds_hold_without_an_interpreter_limit():
+    """With the interpreter's int/str digit limit switched off, as on
+    Python 3.10, long numbers are refused at CPython's default of 4,300."""
+    src = str(Path(wpcalc.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "0"}
+    for argv in (
+        ["count-big", "--weights", "50000000"],
+        ["hom", "--weights", "2,3", "O(0)", f"S(2,1)[{ONES}]"],
+    ):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "wpcalc.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 5, argv
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert len(proc.stderr.strip().splitlines()) == 1, argv
+
+
 class TestLongInputs:
     @pytest.mark.parametrize(
         "f, g, expected",

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpcalc import lgroup
-from wpcalc.errors import LengthMismatch, ParseError, WeightMismatch
+from wpcalc.errors import ParseError, WeightMismatch
 from wpcalc.lgroup import (
     LElement,
     Weights,
@@ -50,7 +50,7 @@ class TestNormalize:
         assert normalize(W3, 0, [5]) == LElement(1, (2,))
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(WeightMismatch):
             normalize(W3, 0, [1, 2])
 
     def test_idempotent(self):
