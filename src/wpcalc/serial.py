@@ -10,7 +10,9 @@ one; tau^n = id on a rank-n tube.
 
 Hom dimensions between arcs have a closed form (count of admissible
 landing positions of the top basis vector), and Ext^1 is Serre-dual to a
-Hom on a line as in a tube.  The matrix-level oracle for all of this
+Hom on a line as in a tube.  On a tube both numbers are integer counts,
+``cycle_dims(n, shift, lx, ly)``, which ``dims`` and the sheaf model's
+torsion pairs share.  The matrix-level oracle for all of this
 lives in :mod:`wpcalc.nilrep` via :func:`realize`.
 
 Thick subcategories are enumerated as joins of one-arc closures.  Every
@@ -160,18 +162,23 @@ def _count_congruent(lo: int, hi: int, residue: int, n: int) -> int:
     return (hi - residue) // n - (lo - 1 - residue) // n
 
 
-def _hom(cat: SerialCat, shift: int, lx: int, ly: int) -> int:
-    """dim Hom(x, y) for arcs of lengths lx, ly with y.top - x.top = shift.
+def cycle_dims(n: int, shift: int, lx: int, ly: int) -> HomExt:
+    """(dim Hom(x, y), dim Ext^1(x, y)) for arcs of U_n of lengths lx, ly
+    with y.top - x.top = shift.
 
     A map is determined by the image of the top basis vector of x, which
-    must live in the fiber of y at x.top and die after lx shifts; on a
-    line the shift is not reduced mod the rank.
+    must live in the fiber of y at x.top and die after lx shifts.  Ext^1
+    is Hom(y, tau x): lengths swapped, shift x.top - 1 - y.top.
     """
-    lo = max(0, ly - lx)
-    if cat.kind == "cycle":
-        n = cat.rank
-        return _count_congruent(lo, ly - 1, shift % n, n)
-    return 1 if lo <= shift < ly else 0
+    return HomExt(
+        _count_congruent(max(0, ly - lx), ly - 1, shift, n),
+        _count_congruent(max(0, lx - ly), lx - 1, -shift - 1, n),
+    )
+
+
+def _hom(shift: int, lx: int, ly: int) -> int:
+    """dim Hom(x, y) for line arcs of lengths lx, ly with y.top - x.top = shift."""
+    return 1 if max(0, ly - lx) <= shift < ly else 0
 
 
 def dims(x: Arc, y: Arc) -> HomExt:
@@ -183,10 +190,12 @@ def dims(x: Arc, y: Arc) -> HomExt:
     cat = x.cat
     if cat != y.cat:
         raise CategoryMismatch(f"arcs live in different categories: {cat} vs {y.cat}")
-    hom = _hom(cat, y.top - x.top, x.length, y.length)
-    if cat.kind == "line" and x.length == x.top:
+    if cat.kind == "cycle":
+        return cycle_dims(cat.rank, y.top - x.top, x.length, y.length)
+    hom = _hom(y.top - x.top, x.length, y.length)
+    if x.length == x.top:
         return HomExt(hom, 0)
-    return HomExt(hom, _hom(cat, x.top - 1 - y.top, y.length, x.length))
+    return HomExt(hom, _hom(x.top - 1 - y.top, y.length, x.length))
 
 
 def classify_arc(a: Arc) -> ArcClass:

@@ -7,23 +7,27 @@ tau S_{i,j} = S_{i,j-1}); at a user-declared ordinary point it is a rank
 1 tube.  S_{i,j} is the cokernel of O((j-1)x_i) -> O(j x_i), which makes
 the top of O(lam) at x_i the simple S_{i, b_i(lam)}.
 
-Hom dimensions have three closed forms, each straight from the graded
-picture; every other pair of classes has no Homs:
-
-* O(lam) to O(mu): ``l+1`` if ``l >= 0`` else 0, where
-  ``l = mu.a - lam.a + sum((mu.b_i - lam.b_i) // r_i)`` is the
-  c-coefficient of the normal form of mu - lam; floor division does the
-  carry, so the form is exact on raw (uncarried) gradings too;
-* line bundle to torsion: the number of the arc's composition factors
-  that are the top of the bundle, i.e. factors S_{i,j} with
-  ``j = b_i(lam) mod r_i`` (every factor at an ordinary point);
-* torsion to torsion at a common point: tube arithmetic, one
-  :func:`wpcalc.serial.dims` call for Hom and Ext^1 together.
-
 Ext^1 is Serre-dual to a Hom: ``Ext^1(f, g) = Hom(g, tau f)``, with tau
-the shift by omega on bundles and the tube translate on torsion.  Inside
-``hom_ext`` tau is left uncarried, so Hom/Ext^1 make no lgroup call;
-``tau_sheaf`` carries it.
+the shift by omega on bundles and the tube translate on torsion.
+``hom_ext`` reads both numbers off integers, one branch per kind of
+pair, and builds no tau f, arc or grading (no lgroup call).  Torsion at
+two distinct points has neither Homs nor Exts; the other kinds are:
+
+* O(lam) to O(mu): with ``l = mu.a - lam.a + sum((mu.b_i - lam.b_i) // r_i)``,
+  the c-coefficient of the normal form of mu - lam, Hom is ``l+1`` if
+  ``l >= 0`` and Ext^1 is ``-l-1`` if ``l <= -2``.  Floor division does
+  the carry, so this is exact on raw (uncarried) gradings too, and
+  ``(x + r - 1) // r == -(-x // r)`` makes the l of Hom(O(mu), O(lam+omega))
+  exactly ``-l-2``;
+* line bundle to torsion: Hom is the number of the arc's composition
+  factors that are the top of the bundle, i.e. factors S_{i,j} with
+  ``j = b_i(lam) mod r_i`` (every factor at an ordinary point);
+* torsion to line bundle: Ext^1 is the same count against the arc tau f,
+  whose top is one lower;
+* torsion to torsion at a common point: tube arithmetic, one
+  :func:`wpcalc.serial.cycle_dims` call for Hom and Ext^1 together.
+
+``tau_sheaf`` carries tau to a normal form.
 
 The twist sigma at a point adds the point's generator to line-bundle
 gradings and acts as tau^{-1} on torsion at that point; its w(x)-th
@@ -46,7 +50,7 @@ from .errors import (
 )
 from .lgroup import LElement, Weights
 from .serial import Arc, ArcClass, HomExt, _count_congruent, classify_arc, cycle, perp_arc
-from .serial import dims as tube_dims
+from .serial import cycle_dims as tube_dims
 
 _POINT_X = re.compile(r"x(\d+)")  # x<i> addresses the weighted point x_i
 
@@ -152,14 +156,6 @@ def is_sphere_like(w: WplData, f: SheafClass) -> bool:
     return not isinstance(f, LineBundle) and classify_arc(_tube_arc(w, f)) is ArcClass.SPHERE_LIKE
 
 
-def _same_point(f, g) -> bool:
-    if isinstance(f, TorsionW) and isinstance(g, TorsionW):
-        return f.i == g.i
-    if isinstance(f, TorsionO) and isinstance(g, TorsionO):
-        return f.y == g.y
-    return False
-
-
 def _tau(w: WplData, f: SheafClass) -> SheafClass:
     """Serre translate of a validated class, with top and grading uncarried."""
     if isinstance(f, LineBundle):
@@ -178,28 +174,28 @@ def tau_sheaf(w: WplData, f: SheafClass) -> SheafClass:
     return _validate(w, f)
 
 
-def _hom(w: WplData, f: SheafClass, g: SheafClass) -> int:
-    """dim Hom(f, g) unless both are torsion at one point; raw gradings and tops are fine."""
-    if not isinstance(f, LineBundle):
-        return 0
-    if isinstance(g, LineBundle):
-        lam, mu = f.lam, g.lam
-        ell = mu.a - lam.a + sum((y - x) // r for x, y, r in zip(lam.b, mu.b, w.weights.r))
-        return ell + 1 if ell >= 0 else 0
-    if isinstance(g, TorsionO):
-        return g.length
-    return _count_congruent(g.top - g.length + 1, g.top, f.lam.b[g.i - 1], w.weights.r[g.i - 1])
-
-
 def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
-    """(dim Hom(f, g), dim Ext^1(f, g)), the latter as Hom(g, tau f)."""
+    """(dim Hom(f, g), dim Ext^1(f, g)), read off integers by the kinds of the pair."""
     f = _validate(w, f)
     g = _validate(w, g)
-    if _same_point(f, g):
-        return tube_dims(_tube_arc(w, f), _tube_arc(w, g))
-    # a torsion g maps only into torsion at its own point, handled above
-    ext1 = _hom(w, g, _tau(w, f)) if isinstance(g, LineBundle) else 0
-    return HomExt(_hom(w, f, g), ext1)
+    rs = w.weights.r
+    if isinstance(f, LineBundle):
+        if isinstance(g, LineBundle):
+            lam, mu = f.lam, g.lam
+            ell = mu.a - lam.a + sum((y - x) // r for x, y, r in zip(lam.b, mu.b, rs))
+            return HomExt(ell + 1 if ell >= 0 else 0, -ell - 1 if ell <= -2 else 0)
+        if isinstance(g, TorsionO):
+            return HomExt(g.length, 0)
+        return HomExt(_count_congruent(g.top - g.length + 1, g.top, f.lam.b[g.i - 1], rs[g.i - 1]), 0)
+    if isinstance(g, LineBundle):  # Ext^1(f, g) = Hom(g, tau f), tau f's top is f.top - 1
+        if isinstance(f, TorsionO):
+            return HomExt(0, f.length)
+        return HomExt(0, _count_congruent(f.top - f.length, f.top - 1, g.lam.b[f.i - 1], rs[f.i - 1]))
+    if isinstance(f, TorsionW) and isinstance(g, TorsionW) and f.i == g.i:
+        return tube_dims(rs[f.i - 1], g.top - f.top, f.length, g.length)
+    if isinstance(f, TorsionO) and isinstance(g, TorsionO) and f.y == g.y:
+        return tube_dims(1, 0, f.length, g.length)
+    return HomExt(0, 0)  # torsion at two distinct points
 
 
 def euler(w: WplData, f: SheafClass, g: SheafClass) -> int:

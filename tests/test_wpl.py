@@ -46,6 +46,18 @@ W2222 = WplData(Weights([2, 2, 2, 2]))
 W3333 = WplData(Weights([3, 3, 3, 3]))
 W23 = WplData(Weights([2, 3]), ["y"])
 WP1 = WplData(Weights([]), ["y", "z"])
+# one class of every kind over W23, raw gradings and raw tops included
+EVERY_KIND = (
+    LineBundle(LElement(0, (0, 0))),
+    LineBundle(LElement(-1, (1, 2))),
+    LineBundle(LElement(2, (-3, 7))),
+    TorsionW(1, 1, 1),
+    TorsionW(1, 0, 3),
+    TorsionW(2, 2, 2),
+    TorsionW(2, -4, 5),
+    TorsionO("y", 1),
+    TorsionO("y", 2),
+)
 
 
 def O(w, text="0"):
@@ -336,27 +348,48 @@ class TestHomExt:
     def test_no_grading_group_arithmetic(self, monkeypatch):
         # hom_ext reads validated fields only: every pair kind still works,
         # with the same answers, while lgroup's arithmetic raises
-        w = WplData(Weights([2, 3]), ["y"])
-        classes = [
-            LineBundle(LElement(0, (0, 0))),
-            LineBundle(LElement(-1, (1, 2))),
-            LineBundle(LElement(2, (-3, 7))),
-            TorsionW(1, 1, 1),
-            TorsionW(1, 0, 3),
-            TorsionW(2, 2, 2),
-            TorsionW(2, -4, 5),
-            TorsionO("y", 1),
-            TorsionO("y", 2),
-        ]
-        pairs = [(f, g) for f in classes for g in classes]
-        want = [hom_ext(w, f, g) for f, g in pairs]
+        pairs = list(itertools.product(EVERY_KIND, repeat=2))
+        want = [hom_ext(W23, f, g) for f, g in pairs]
 
         def forbidden(*args):
             raise AssertionError("grading-group arithmetic on the Hom path")
 
         for name in ("normalize", "add", "sub", "neg", "scale", "xbar", "cbar", "omega"):
             monkeypatch.setattr(lgroup, name, forbidden)
-        assert [hom_ext(w, f, g) for f, g in pairs] == want
+        assert [hom_ext(W23, f, g) for f, g in pairs] == want
+
+    def test_no_intermediate_object(self, monkeypatch):
+        # Hom and Ext^1 are read off integers: no tau f, no tube or arc is
+        # built for any pair kind, raw tops and gradings included
+        pairs = list(itertools.product(EVERY_KIND, repeat=2))
+        want = [hom_ext(W23, f, g) for f, g in pairs]
+
+        def forbidden(*args):
+            raise AssertionError("intermediate object on the Hom path")
+
+        for name in ("_tau", "Arc", "cycle"):
+            monkeypatch.setattr(wpl, name, forbidden)
+        assert [hom_ext(W23, f, g) for f, g in pairs] == want
+
+    @pytest.mark.parametrize("i", [1, 2, 3, "y"])
+    def test_integer_tube_route_matches_arc_route(self, i):
+        # same-point torsion pairs against serial.dims on the tube's arcs:
+        # tops -r..2r-1 and lengths 1..3r at x_i; lengths 1..15 on the rank 1
+        # tube of the ordinary point y
+        w = WplData(Weights([2, 3, 5]), ["y"])
+        if i == "y":
+            cat = cycle(1)
+            pairs = [(TorsionO("y", l), serial.Arc(cat, 0, l)) for l in range(1, 16)]
+        else:
+            r = w.weights.r[i - 1]
+            cat = cycle(r)
+            pairs = [
+                (TorsionW(i, t, l), serial.Arc(cat, t, l))
+                for t in range(-r, 2 * r)
+                for l in range(1, 3 * r + 1)
+            ]
+        for (f, a), (g, b) in itertools.product(pairs, repeat=2):
+            assert hom_ext(w, f, g) == serial.dims(a, b), (f, g)
 
 
 class TestEuler:
@@ -457,6 +490,33 @@ class TestEuler:
                     for probe in random_classes(w, rng, 6):
                         assert euler(w, v, probe) == euler(w, cv, probe) + euler(w, top, probe)
                         assert euler(w, probe, v) == euler(w, probe, cv) + euler(w, probe, top)
+
+    @pytest.mark.parametrize(
+        "weights, ordinary, count",
+        [((2, 3, 5), ["y"], 60), ((2, 2, 3, 4), ["y", "z"], 60), ((), ["y"], 30)],
+        ids=["2,3,5+y", "2,2,3,4+y,z", "P1+y"],
+    )
+    def test_euler_is_bilinear_on_k0(self, weights, ordinary, count):
+        # The canonical collection E is a basis of K0 whose Euler matrix C is
+        # upper unitriangular.  Back-substitution in C a_f = (<E_i, f>)_i gives
+        # the coordinates of [f], and <f, g> = sum_j a_{f,j} <E_j, g> for
+        # every pair: every kind of pair, Ext^1 included, meets the pairing
+        w = WplData(Weights(weights), ordinary)
+        E = canonical_collection(w)
+        n = len(E)
+        C = [[euler(w, e, e2) for e2 in E] for e in E]
+        assert all(C[i][i] == 1 and not any(C[i][:i]) for i in range(n))
+        classes = random_classes(w, random.Random(f"k0:{weights}"), count)
+        coords = []
+        for f in classes:
+            a = [euler(w, e, f) for e in E]
+            for i in reversed(range(n)):
+                a[i] -= sum(C[i][j] * a[j] for j in range(i + 1, n))
+            coords.append(a)
+        e_to = [[euler(w, e, g) for g in classes] for e in E]
+        for a, f in zip(coords, classes):
+            for k, g in enumerate(classes):
+                assert sum(a[j] * e_to[j][k] for j in range(n)) == euler(w, f, g), (f, g)
 
 
 class TestTau:
