@@ -38,10 +38,6 @@ class NonNegativityViolation(InternalError):
     pass
 
 
-class NoTranslationForLine(InputError):
-    pass
-
-
 class CategoryMismatch(InputError):
     pass
 

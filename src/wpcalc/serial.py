@@ -8,12 +8,15 @@ vertices ``j-l+1 .. j``; under the right-module convention its top simple
 sits at the *larger* vertex index j.  The translate tau decreases tops by
 one; tau^n = id on a rank-n tube.
 
-Hom dimensions between arcs have a closed form (count of admissible
-landing positions of the top basis vector), and Ext^1 is Serre-dual to a
-Hom on a line as in a tube.  On a tube both numbers are integer counts,
-``cycle_dims(n, shift, lx, ly)``, which ``dims`` and the sheaf model's
-torsion pairs share.  The matrix-level oracle for all of this
-lives in :mod:`wpcalc.nilrep` via :func:`realize`.
+A_n is U_{n+1} without residue 0: the Serre subcategory of the modules
+with no composition factor there, the arc (j, l) of A_n being the arc of
+U_{n+1} with the same top and length.  So Hom and Ext^1 between arcs are
+one tube count, ``cycle_dims(n, shift, lx, ly)``, on the tube of rank
+``SerialCat.tube_rank``: Hom counts the landing positions of the top
+basis vector, and Ext^1 is Serre-dual to a Hom.  The sheaf model's
+torsion pairs share the count.  The matrix oracle, :mod:`wpcalc.nilrep`
+via :func:`realize`, builds a line arc on the quiver A_n itself, so it
+checks this reading rather than repeating it.
 
 Thick subcategories are enumerated as joins of one-arc closures.  Every
 thick subcategory here is admissible, so it is the join of the
@@ -58,7 +61,6 @@ from .errors import (
     BoundExceeded,
     CategoryMismatch,
     InvalidArc,
-    NoTranslationForLine,
     ParseError,
     check_digit_runs,
 )
@@ -83,6 +85,12 @@ class SerialCat(_SerialCatFields):
         if kind == "cycle" and rank < 1:
             raise InvalidArc("cycle rank must be >= 1")
         return tuple.__new__(cls, (kind, rank))
+
+    @property
+    def tube_rank(self) -> int:
+        """Rank of the tube whose counts this category reads: U_n is its
+        own tube, and A_n is U_{n+1} without residue 0."""
+        return self.rank + 1 if self.kind == "line" else self.rank
 
     def __str__(self):
         return ("U(%d)" if self.kind == "cycle" else "A(%d)") % self.rank
@@ -150,13 +158,6 @@ class HomExt(NamedTuple):
     ext1: int
 
 
-def tau(a: Arc) -> Arc:
-    """Translate on a tube: same length, top decremented by one (mod n)."""
-    if a.cat.kind != "cycle":
-        raise NoTranslationForLine("tau is only defined on tube arcs")
-    return Arc(a.cat, (a.top - 1) % a.cat.rank, a.length)
-
-
 def _count_congruent(lo: int, hi: int, residue: int, n: int) -> int:
     """#{ j in [lo, hi] : j = residue mod n }, for hi >= lo - 1."""
     return (hi - residue) // n - (lo - 1 - residue) // n
@@ -176,33 +177,27 @@ def cycle_dims(n: int, shift: int, lx: int, ly: int) -> HomExt:
     )
 
 
-def _hom(shift: int, lx: int, ly: int) -> int:
-    """dim Hom(x, y) for line arcs of lengths lx, ly with y.top - x.top = shift."""
-    return 1 if max(0, ly - lx) <= shift < ly else 0
-
-
 def dims(x: Arc, y: Arc) -> HomExt:
     """(dim Hom(x,y), dim Ext^1(x,y)) in the serial category.
 
-    Ext^1(x, y) = D Hom(y, tau x) by Serre duality; tau lowers the top by
-    one and kills a projective line arc (socle at vertex 1).
+    One tube count on the category's ``tube_rank``: an arc of A_n is the
+    arc of U_{n+1} with the same top and length.
     """
     cat = x.cat
     if cat != y.cat:
         raise CategoryMismatch(f"arcs live in different categories: {cat} vs {y.cat}")
-    if cat.kind == "cycle":
-        return cycle_dims(cat.rank, y.top - x.top, x.length, y.length)
-    hom = _hom(y.top - x.top, x.length, y.length)
-    if x.length == x.top:
-        return HomExt(hom, 0)
-    return HomExt(hom, _hom(x.top - 1 - y.top, y.length, x.length))
+    return cycle_dims(cat.tube_rank, y.top - x.top, x.length, y.length)
 
 
 def classify_arc(a: Arc) -> ArcClass:
-    """Exceptional / sphere-like / neither, by length against the rank."""
-    if a.cat.kind == "line" or a.length < a.cat.rank:
+    """Exceptional / sphere-like / neither, by length against the tube rank.
+
+    A line arc is shorter than rank + 1, so it is exceptional.
+    """
+    n = a.cat.tube_rank
+    if a.length < n:
         return ArcClass.EXCEPTIONAL
-    if a.length == a.cat.rank:
+    if a.length == n:
         return ArcClass.SPHERE_LIKE
     return ArcClass.NEITHER
 

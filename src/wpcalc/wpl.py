@@ -27,7 +27,8 @@ two distinct points has neither Homs nor Exts; the other kinds are:
 * torsion to torsion at a common point: tube arithmetic, one
   :func:`wpcalc.serial.cycle_dims` call for Hom and Ext^1 together.
 
-``tau_sheaf`` carries tau to a normal form.
+``tau_sheaf`` shifts a bundle by ``lgroup.omega`` and lowers a torsion
+top by one; its answers are normal forms.
 
 The twist sigma at a point adds the point's generator to line-bundle
 gradings and acts as tau^{-1} on torsion at that point; its w(x)-th
@@ -35,6 +36,7 @@ power c adds c-bar to gradings and fixes all torsion classes.
 """
 
 import re
+from bisect import bisect_left
 from enum import Enum
 from math import comb
 from typing import NamedTuple
@@ -132,7 +134,9 @@ def _validate(w: WplData, f: SheafClass) -> SheafClass:
             raise ModelMismatch("torsion length must be >= 1")
         return f if 0 <= f.top < r else TorsionW(f.i, f.top % r, f.length)
     if isinstance(f, TorsionO):
-        if f.y not in w.ordinary:
+        labels = w.ordinary  # sorted, so a bisection finds f.y
+        k = bisect_left(labels, f.y)
+        if k == len(labels) or labels[k] != f.y:
             raise UnknownPoint(f"ordinary point {f.y!r} was not declared")
         if f.length < 1:
             raise ModelMismatch("torsion length must be >= 1")
@@ -156,22 +160,14 @@ def is_sphere_like(w: WplData, f: SheafClass) -> bool:
     return not isinstance(f, LineBundle) and classify_arc(_tube_arc(w, f)) is ArcClass.SPHERE_LIKE
 
 
-def _tau(w: WplData, f: SheafClass) -> SheafClass:
-    """Serre translate of a validated class, with top and grading uncarried."""
-    if isinstance(f, LineBundle):
-        lam = f.lam
-        return LineBundle(LElement(lam.a - 2, tuple(b + r - 1 for b, r in zip(lam.b, w.weights.r))))
-    if isinstance(f, TorsionW):
-        return TorsionW(f.i, f.top - 1, f.length)
-    return f
-
-
 def tau_sheaf(w: WplData, f: SheafClass) -> SheafClass:
     """Serre translate: grading shift by omega on bundles, tube tau on torsion."""
-    f = _tau(w, _validate(w, f))
+    f = _validate(w, f)
     if isinstance(f, LineBundle):
-        return LineBundle(lgroup.normalize(w.weights, f.lam.a, f.lam.b))
-    return _validate(w, f)
+        return LineBundle(lgroup.add(w.weights, f.lam, lgroup.omega(w.weights)))
+    if isinstance(f, TorsionW):
+        return _validate(w, TorsionW(f.i, f.top - 1, f.length))
+    return f
 
 
 def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
