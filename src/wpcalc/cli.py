@@ -343,22 +343,25 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 2 with one stderr line, no usage."""
+
+    def error(self, message):
+        # an unrecognized argument is echoed as given, so escape line breaks
+        self.exit(2, f"{self.prog}: error: {message}".replace("\n", "\\n") + "\n")
+
+
 def build_parser(only=None) -> argparse.ArgumentParser:
     """The ``wpc`` parser with every subcommand, or with ``only`` that one.
 
-    With ``only``, the usage line still lists every command, so a
-    top-level error (an unrecognized argument) reads the same.
+    Subparsers inherit the parser class, so every usage error is one line.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wpc",
         description="Hom/Ext tables and thick-subcategory combinatorics for "
         "tubes, linear quivers and weighted projective lines",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}",
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS if only is None else [only]:
         fn, help_text, model_flags, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)

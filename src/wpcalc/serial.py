@@ -44,12 +44,13 @@ so ``dims`` runs only for the n arcs at top 0 (n^3 calls) and the other
 rows are rotations.  The columns are the rows transposed.  Counting,
 enumeration and ``thick_closure`` all read this one table.  The index
 itself is arithmetic: bit(t, l) is t*n + l - 1 on U_n and
-t(t-1)/2 + l - 1 on A_n.  Descriptors are built eagerly, their
-block structure from per-bit block-below and block-above masks; ``Arc``
-values are made only for their output tuples.  An intern table on the
-index, keyed by the mask of a factor's blocks, makes each distinct chain
-or cycle factor once per enumeration or closure, and every descriptor
-that contains it shares it; no table outlives the call.
+t(t-1)/2 + l - 1 on A_n.  Descriptors are built eagerly.  Their block
+structure reads one per-bit mask, the blocks directly below each block:
+one factor walk down it finds the chains and the cycle.  ``Arc`` values
+are made only for their output tuples.  An intern table on the index,
+keyed by the mask of a factor's blocks, makes each distinct chain or
+cycle factor once per enumeration or closure, and every descriptor that
+contains it shares it; no table outlives the call.
 """
 
 import re
@@ -373,9 +374,9 @@ class _ArcIndex:
     """Bitset view of the arcs of length <= rank of one category.
 
     Bit k stands for ``arcs[k]``; bit order is ``Arc`` order, so ascending
-    bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k;
-    ``below[k]`` masks the arcs whose top is one step below arc k's socle,
-    and ``above[k]`` the arcs whose socle sits one step below arc k's top.
+    bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k,
+    and ``below[k]`` the arcs whose top is one step below arc k's socle:
+    the one adjacency mask that the factor walk reads.
     The zero table holds, for each ordered pair (g, y), whether
     Hom(g, y) = Ext^1(g, y) = 0.  Row g, ``rows[g]``, is the right mask of
     g (the arcs right-orthogonal to g); ``right`` computes one row, for an
@@ -392,22 +393,20 @@ class _ArcIndex:
         n = cat.rank
         if cat.kind == "cycle":
             # bit(t, l) = t*n + l - 1; the lists are doubled, so they take the
-            # tops t-l and t+j below 0 and past n-1 without reducing mod n
-            first, height, reach = [t * n for t in range(n)] * 2, [n] * 2 * n, [n] * n
-            tops = range(n)
+            # tops t-l below 0 without reducing mod n
+            first, height, tops = [t * n for t in range(n)] * 2, [n] * 2 * n, range(n)
         else:
             # bit(t, l) = t(t-1)/2 + l - 1; top t has t lengths, top 0 none
             first = [t * (t - 1) // 2 for t in range(n + 1)]
-            height, reach, tops = range(n + 1), [n - t for t in range(n + 1)], range(1, n + 1)
+            height, tops = range(n + 1), range(1, n + 1)
         self.arcs = [Arc(cat, t, l) for t in tops for l in range(1, height[t] + 1)]
         self.full = (1 << len(self.arcs)) - 1
-        self.sub, self.below, self.above = [], [], []
+        self.sub, self.below = [], []
         for _, t, l in self.arcs:
-            # arc (t, l) has the proper subarcs (t-l+j, j), the arcs at top
-            # t-l directly below it and the arcs (t+j, j) directly above
+            # arc (t, l) has the proper subarcs (t-l+j, j) and the arcs at
+            # top t-l directly below it
             self.sub.append(sum(1 << first[t - l + j] + j - 1 for j in range(1, l)))
             self.below.append((1 << height[t - l]) - 1 << first[t - l])
-            self.above.append(sum(1 << first[t + j] + j - 1 for j in range(1, reach[t] + 1)))
         self.lines = [line(m) for m in range(cat.rank + 1)]
         self.cycles = [cycle(m) for m in range(1, cat.rank + 1)]
         # (sort key, factor) by the mask of the factor's blocks; a chain's
@@ -469,52 +468,47 @@ def _block_structure(idx: _ArcIndex, rel: list) -> Embedding:
     Block A sits directly below block B when A's top is one step below B's
     socle, that is, A is in ``below[B]``.  Within an orthogonal family tops
     are distinct, so each block has at most one block directly below it and
-    one directly above: the walks down from the blocks with nothing above
-    are the chains, and the blocks left over tile one cycle.  Chains sort
-    by (-length, bits), which is (-rank, simple images) because bit order
-    is ``Arc`` order.  A factor is looked up by the mask of its blocks and
-    made only the first time the index meets it.
+    one directly above.  The blocks with none above are the chain tops; a
+    walk down from each ends where no block is below, and a walk down from
+    a block left over ends back at its start, tiling the one cycle.  Chains
+    sort by (-length, bottom block), which is (-rank, simple images)
+    because bit order is ``Arc`` order.  A factor is looked up by the mask
+    of its blocks and made only the first time the index meets it.
     """
-    below, above, interned = idx.below, idx.above, idx.factors
-    family = 0
+    below, interned = idx.below, idx.factors
+    family = covered = 0
     for k in rel:
         family |= 1 << k
-    chains = []
-    rest = family
     for k in rel:
-        over = above[k] & family
-        if over:
-            assert not over & (over - 1), "two blocks directly above one block"
-            continue
-        walk, chain = [k], 1 << k
         under = below[k] & family
-        while under:
-            assert not under & (under - 1), "two blocks directly below one block"
+        assert not under & (under - 1), "two blocks directly below one block"
+        assert not under & covered, "two blocks directly above one block"
+        covered |= under
+    tops, rest = family & ~covered, family
+    chains, cycle_factor = [], ()
+    while rest:
+        assert not cycle_factor, "two cycle factors cannot coexist"
+        pending = tops & rest or rest  # the chains first, then the cycle
+        start = pending & -pending
+        walk, blocks = [start.bit_length() - 1], start
+        under = below[walk[0]] & family
+        while under and under != start:
             walk.append(under.bit_length() - 1)
-            chain |= under
+            blocks |= under
             under = below[walk[-1]] & family
-        rest ^= chain
-        if chain not in interned:
+        rest ^= blocks
+        if blocks not in interned:
+            # walk runs from the top block down; reversed, images[k-1] is
+            # below images[k]
             walk.reverse()
-            interned[chain] = idx.factor(idx.lines[len(walk)], walk)
-        chains.append(interned[chain])
+            factor_cat = idx.cycles[len(walk) - 1] if under else idx.lines[len(walk)]
+            interned[blocks] = idx.factor(factor_cat, walk)
+        if under:
+            cycle_factor = (interned[blocks][1],)
+        else:
+            chains.append(interned[blocks])
     chains.sort()
-    factors = [f for _, f in chains]
-    if not rest:
-        return Embedding(idx.cat, tuple(factors))
-    if rest not in interned:
-        start = (rest & -rest).bit_length() - 1
-        walk = [start]
-        under = below[start] & family
-        while under != 1 << start:
-            assert under and not under & (under - 1), "two blocks directly below one block"
-            walk.append(under.bit_length() - 1)
-            under = below[walk[-1]] & family
-        assert len(walk) == rest.bit_count(), "two cycle factors cannot coexist"
-        # walk is B_a, B_{a-1}, ...; reverse so images[k-1] is below images[k]
-        walk.reverse()
-        interned[rest] = idx.factor(idx.cycles[len(walk) - 1], walk)
-    return Embedding(idx.cat, (interned[rest][1], *factors))
+    return Embedding(idx.cat, cycle_factor + tuple(f for _, f in chains))
 
 
 def _build_desc(idx: _ArcIndex, bits: list, rel: list, left: list) -> ThickDesc:

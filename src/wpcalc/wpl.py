@@ -247,6 +247,7 @@ def top_m(w: WplData, point, lam: LElement, m: int) -> SheafClass:
     """
     if m < 1:
         raise ModelMismatch("top_m needs m >= 1")
+    _validate(w, LineBundle(lam))
     kind, key = _resolve_point(w, point)
     if kind == "w":
         return _validate(w, TorsionW(key, lam.b[key - 1], m))

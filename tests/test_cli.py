@@ -618,11 +618,15 @@ def _has_positional(name):
     return any(not names[0].startswith("-") for names, _ in arguments)
 
 
+PARSER_ERRORS = (
+    [[], ["nosuch"], ["hom", "O(0)", "O(0)", "--bogus"], ["tube", "enumerate", "x"]]
+    + [[name] for name in cli.COMMANDS if _has_positional(name)]  # missing arguments
+)
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["-h"], [], ["nosuch"], ["hom", "O(0)", "O(0)", "--bogus"], ["tube", "enumerate", "x"]]
-    + [[name] for name in cli.COMMANDS if _has_positional(name)]  # missing arguments
-    + [[name, "-h"] for name in cli.COMMANDS],
+    [["-h"]] + PARSER_ERRORS + [[name, "-h"] for name in cli.COMMANDS],
     ids=" ".join,
 )
 def test_parser_matches_full_build(argv):
@@ -634,6 +638,19 @@ def test_parser_matches_full_build(argv):
     if argv == ["-h"] or argv[1:] == ["-h"]:
         assert full[0] == 0 and full[1]
     assert _outcome(main, argv) == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    PARSER_ERRORS
+    + [["hom", "--weights", "2", "O(0)"], ["hom", "O(0)", "O(0)", "--bo\ngus"]]
+    + [argv + ["--json"] for argv in PARSER_ERRORS if argv and argv[0] in cli.COMMANDS],
+    ids=repr,
+)
+def test_usage_error_is_one_line(argv):
+    code, out, err = _outcome(main, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("wpc") and ": error: " in err
 
 
 def test_help_lists_every_command():

@@ -564,12 +564,11 @@ def _proper_subarcs(a):
 
 
 def arc_index_oracle(cat):
-    """(arcs, sub, below, above) of the bit index, built from ``Arc`` values.
+    """(arcs, sub, below) of the bit index, built from ``Arc`` values.
 
     The oracle for the index's arithmetic: bits number the sorted
     ``all_arcs`` through a dict, subarcs are made as arcs and looked up,
-    and the block-below and block-above masks collect the arcs by top and
-    by the vertex one step below the socle.
+    and the block-below masks collect the arcs by top.
     """
     arcs = sorted(all_arcs(cat))
     bit = {a: k for k, a in enumerate(arcs)}
@@ -578,13 +577,11 @@ def arc_index_oracle(cat):
         low = [(a.top - a.length) % cat.rank for a in arcs]
     else:
         low = [a.top - a.length for a in arcs]
-    with_top, with_low = {}, {}
+    with_top = {}
     for k, a in enumerate(arcs):
         with_top[a.top] = with_top.get(a.top, 0) | 1 << k
-        with_low[low[k]] = with_low.get(low[k], 0) | 1 << k
     below = [with_top.get(t, 0) for t in low]
-    above = [with_low.get(a.top, 0) for a in arcs]
-    return arcs, sub, below, above
+    return arcs, sub, below
 
 
 def exceptional_sequences(idx):
@@ -643,7 +640,35 @@ class TestWalk:
     @pytest.mark.parametrize("cat", INDEX_CATS, ids=str)
     def test_arithmetic_index_matches_arc_oracle(self, cat):
         idx = serial._ArcIndex(cat)
-        assert (idx.arcs, idx.sub, idx.below, idx.above) == arc_index_oracle(cat)
+        assert (idx.arcs, idx.sub, idx.below) == arc_index_oracle(cat)
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ([(0, 1), (1, 1), (2, 2)], "two blocks directly above one block"),
+            ([(0, 1), (0, 2), (1, 1)], "two blocks directly below one block"),
+            ([(0, 2), (1, 2), (2, 2), (3, 2)], "two cycle factors cannot coexist"),
+        ],
+    )
+    def test_block_structure_rejects_crafted_families(self, family, message):
+        # no orthogonal family has these shapes, so no state reaches the asserts
+        idx = serial._ArcIndex(cycle(4))
+        rel = sorted(idx.arcs.index(Arc(cycle(4), t, l)) for t, l in family)
+        with pytest.raises(AssertionError, match=message):
+            serial._block_structure(idx, rel)
+
+    @pytest.mark.parametrize("cat", [cycle(MAX_CYCLE_RANK + 1), line(MAX_LINE_RANK + 1)], ids=str)
+    def test_factors_past_the_caps_give_the_ext_quiver(self, cat):
+        # thick_closure runs the factor walk at any rank, and enumeration
+        # checks it only up to the caps: a seeded sample of states past them
+        idx = serial._ArcIndex(cat)
+        states = sorted(dict(serial._right_orthogonals(idx.full, idx.rows)))
+        for state in random.Random(7).sample(states, 3000):
+            rel = idx.minimal(state)
+            emb = serial._block_structure(idx, rel)
+            q, objects = mapped_family_quiver(emb)
+            assert sorted(objects) == list(idx.members(rel))
+            assert same_multigraph(q, expected_factor_quiver(emb))
 
     def test_rotated_tube_rows_match_per_pair_rows(self):
         for n in range(1, 9):

@@ -313,6 +313,9 @@ class TestValueTypes:
             (lambda: classify_generated(W23, ()), ModelMismatch),
             (lambda: star_collection(W23, [2, 0]), ModelMismatch),
             (lambda: star_collection(W23, [0, -1]), ModelMismatch),
+            # a grading with too few or too many weighted points
+            (lambda: top_m(W23, 2, LElement(0, (0,)), 1), ModelMismatch),
+            (lambda: top_m(W23, 2, LElement(0, (0, 0, 0)), 1), ModelMismatch),
         ],
     )
     def test_validation_errors(self, build, error):
