@@ -38,19 +38,20 @@ mask lists its arcs sorted, and masks sort like descriptors.
 The masks come from one zero table per category: entry (g, y) says
 whether Hom(g, y) and Ext^1(g, y) both vanish.  Its rows are the arcs'
 right masks, which the walk reads; its columns are the left masks, which
-closures read.  On a line the index calls ``dims`` once per ordered
-pair of arcs for the rows; on a rank-n tube, tau^-1 moves every bit by n,
-so ``dims`` runs only for the n arcs at top 0 (n^3 calls) and the other
-rows are rotations.  The columns are the rows transposed.  Counting,
-enumeration and ``thick_closure`` all read this one table.  The index
-itself is arithmetic: bit(t, l) is t*n + l - 1 on U_n and
-t(t-1)/2 + l - 1 on A_n.  Descriptors are built eagerly.  Their block
-structure reads one per-bit mask, the blocks directly below each block:
-one factor walk down it finds the chains and the cycle.  ``Arc`` values
-are made only for their output tuples.  An intern table on the index,
-keyed by the mask of a factor's blocks, makes each distinct chain or
-cycle factor once per enumeration or closure, and every descriptor that
-contains it shares it; no table outlives the call.
+closures read.  A row is one call of ``cycle_zero_row``, which reads
+the zero set of ``cycle_dims`` off two residues per entry and calls no
+``dims``.  On a line the index computes one row per arc; on a rank-n
+tube, tau^-1 moves every bit by n, so only the n arcs at top 0 get a
+row computed and the other rows are rotations.  The columns are the
+rows transposed.  Counting, enumeration and ``thick_closure`` all read
+this one table.  The index itself is arithmetic: bit(t, l) is
+t*n + l - 1 on U_n and t(t-1)/2 + l - 1 on A_n.  Descriptors are built
+eagerly.  Their block structure reads one per-bit mask, the blocks
+directly below each block: one factor walk down it finds the chains and
+the cycle.  ``Arc`` values are made only for their output tuples.  An
+intern table on the index, keyed by the mask of a factor's blocks, makes
+each distinct chain or cycle factor once per enumeration or closure, and
+every descriptor that contains it shares it; no table outlives the call.
 """
 
 import re
@@ -176,6 +177,29 @@ def cycle_dims(n: int, shift: int, lx: int, ly: int) -> HomExt:
         _count_congruent(max(0, ly - lx), ly - 1, shift, n),
         _count_congruent(max(0, lx - ly), lx - 1, -shift - 1, n),
     )
+
+
+def cycle_zero_row(n: int, top: int, length: int, arcs) -> int:
+    """Mask of the arcs y with Hom(x, y) = Ext^1(x, y) = 0, x the arc of U_n
+    with this top and length; bit k stands for ``arcs[k]``.
+
+    ``arcs`` are (cat, top, length) triples, such as the arcs of U_n or
+    of a category that reads its counts on U_n (its ``tube_rank``); only
+    top and length are read.  A count of the j = r mod n in [lo, hi] is
+    zero when its floor quotients agree, that is, when the largest such
+    j <= hi, which is hi - (hi - r) mod n, falls below lo.  Both of
+    ``cycle_dims``' ranges hold m = min(lx, ly) integers, so with shift s
+    Hom vanishes when (ly - 1 - s) mod n >= m and Ext^1 when
+    (lx + s) mod n >= m.  No ``HomExt`` is made per entry.
+    """
+    row, bit = 0, 1
+    for _, t, l in arcs:
+        m = length if length < l else l
+        s = t - top
+        if (l - 1 - s) % n >= m and (length + s) % n >= m:
+            row |= bit
+        bit <<= 1
+    return row
 
 
 def dims(x: Arc, y: Arc) -> HomExt:
@@ -380,12 +404,12 @@ class _ArcIndex:
     The zero table holds, for each ordered pair (g, y), whether
     Hom(g, y) = Ext^1(g, y) = 0.  Row g, ``rows[g]``, is the right mask of
     g (the arcs right-orthogonal to g); ``right`` computes one row, for an
-    arc of any length.  On a tube, bits run through the n lengths of one
-    top and then the next, so the index calls ``dims`` only for the n arcs
-    at top 0 (n^3 calls) and rotates their rows by n bits for each later
-    top; a line's rows take a ``dims`` call per ordered pair.  Column k,
-    ``left[k]``, is the left mask of arc k (the arcs left-orthogonal to
-    it), read off the rows by transposition.
+    arc of any length, as one ``cycle_zero_row`` call on the tube rank.
+    On a tube, bits run through the n lengths of one top and then the
+    next, so the index computes only the rows of the n arcs at top 0 and
+    rotates them by n bits for each later top; a line computes one row
+    per arc.  Column k, ``left[k]``, is the left mask of arc k (the arcs
+    left-orthogonal to it), read off the rows by transposition.
     """
 
     def __init__(self, cat: SerialCat):
@@ -439,7 +463,7 @@ class _ArcIndex:
 
     def right(self, g: Arc) -> int:
         """Mask of the arcs right-orthogonal to g, an arc of any length."""
-        return sum(1 << k for k, y in enumerate(self.arcs) if dims(g, y) == (0, 0))
+        return cycle_zero_row(self.cat.tube_rank, g.top, g.length, self.arcs)
 
     def minimal(self, mask: int, bits=None) -> list:
         """Bits of the members with no proper member subarc: the relative simples.

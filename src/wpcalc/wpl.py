@@ -126,7 +126,10 @@ SheafClass = LineBundle | TorsionW | TorsionO
 def _validate(w: WplData, f: SheafClass) -> SheafClass:
     if isinstance(f, LineBundle):
         if len(f.lam.b) != w.weights.p:
-            raise ModelMismatch(f"{f} does not live over weights {w.weights.r}")
+            raise ModelMismatch(
+                f"a line bundle grading over weights {w.weights.r} needs "
+                f"p = {w.weights.p} coordinates, got {len(f.lam.b)}"
+            )
         return f
     if isinstance(f, TorsionW):
         r = w.weight_of(f.i)

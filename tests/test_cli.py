@@ -425,6 +425,17 @@ class TestOutputBound:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "BoundExceeded" in err
 
+    def test_enumeration_listing_is_bounded_by_its_count(self, capsys, monkeypatch):
+        # U(3) has 20 thick subcategories and A(3) 14; --count lists none
+        monkeypatch.setattr(cli, "MAX_OUTPUT_OBJECTS", 10)
+        for kind in ("tube", "line"):
+            code, out, err = run(capsys, kind, "enumerate", "3")
+            assert (code, out) == (2, "")
+            assert len(err.strip().splitlines()) == 1 and "BoundExceeded" in err
+        assert run(capsys, "tube", "enumerate", "3", "--count") == (0, "20\n", "")
+        code, out, _ = run(capsys, "line", "enumerate", "2")  # 5, within the bound
+        assert (code, out.splitlines()[0]) == (0, "A(2): 5 thick subcategories")
+
 
 class TestErrors:
     @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ from wpcalc.serial import (
     classify_arc,
     count_thick,
     cycle,
+    cycle_dims,
+    cycle_zero_row,
     dims,
     enumerate_thick,
     line,
@@ -172,6 +174,22 @@ class TestDims:
                 assert dims(x, y) == nilrep.hom_ext1(reps[x], reps[y])
                 pairs += 1
         assert pairs == 27_482
+
+    def test_zero_row_matches_cycle_dims(self):
+        # every shift -3n..3n and pair of lengths 1..3n on U(1..12); on U(1)
+        # every shift is 0 mod n.  Entries are plain (cat, top, length)
+        # triples, so the shifts stay unreduced, and x sits at two tops
+        for n in range(1, 13):
+            lengths = range(1, 3 * n + 1)
+            for top in (0, 7):
+                ys = [(None, top + s, ly) for s in range(-3 * n, 3 * n + 1) for ly in lengths]
+                for lx in lengths:
+                    expected = sum(
+                        1 << k
+                        for k, (_, t, ly) in enumerate(ys)
+                        if cycle_dims(n, t - top, lx, ly) == (0, 0)
+                    )
+                    assert cycle_zero_row(n, top, lx, ys) == expected, (n, top, lx)
 
     def test_serre_duality_in_tubes(self):
         for n in (1, 2, 3, 4):
@@ -563,6 +581,11 @@ def _proper_subarcs(a):
             yield Arc(a.cat, a.top - a.length + j, j)
 
 
+def per_pair_row(g, arcs):
+    """Right mask of g over ``arcs``, one ``dims`` call per entry."""
+    return sum(1 << k for k, y in enumerate(arcs) if dims(g, y) == (0, 0))
+
+
 def arc_index_oracle(cat):
     """(arcs, sub, below) of the bit index, built from ``Arc`` values.
 
@@ -673,8 +696,17 @@ class TestWalk:
     def test_rotated_tube_rows_match_per_pair_rows(self):
         for n in range(1, 9):
             idx = serial._ArcIndex(cycle(n))
-            per_pair = [idx.right(g) for g in idx.arcs]
+            per_pair = [per_pair_row(g, idx.arcs) for g in idx.arcs]
             assert idx.rows == per_pair, n
+
+    @pytest.mark.parametrize("cat", INDEX_CATS, ids=str)
+    def test_rows_match_per_pair_dims(self, cat):
+        # the zero table, and a closure generator's row at every length up
+        # to three times the rank (a line arc is no longer than the rank)
+        idx = serial._ArcIndex(cat)
+        assert idx.rows == [per_pair_row(g, idx.arcs) for g in idx.arcs]
+        for g in all_arcs(cat, 3 * cat.rank):
+            assert idx.right(g) == per_pair_row(g, idx.arcs), g
 
     def test_left_mask_walk_counts(self):
         # past the enumeration caps: U(1..10) and A(0..9)
@@ -792,30 +824,35 @@ class TestEnumerate:
         assert len(whole) == 1
         assert shape_of_thick(whole[0]) == (True, [])
 
-    def test_one_dims_call_per_pair(self, monkeypatch):
-        # enumeration reads one zero table: rows are right masks, columns
-        # (left masks) come by transposition, not by a second dims sweep;
-        # a tube computes only the rows at top 0 and rotates them
-        calls = 0
-        real_dims = serial.dims
+    def test_no_dims_call(self, monkeypatch):
+        # the zero table's rows come from cycle_zero_row, one call per row:
+        # a tube computes only the rows at top 0 and rotates them, and a
+        # closure adds one row per generator, of any length; counting,
+        # enumeration and closures call no dims
+        def forbidden(x, y):
+            raise AssertionError("dims call while building the zero table")
 
-        def counted(x, y):
-            nonlocal calls
-            calls += 1
-            return real_dims(x, y)
+        rows = 0
+        real_row = serial.cycle_zero_row
 
-        monkeypatch.setattr(serial, "dims", counted)
+        def counted(*args):
+            nonlocal rows
+            rows += 1
+            return real_row(*args)
+
+        monkeypatch.setattr(serial, "dims", forbidden)
+        monkeypatch.setattr(serial, "cycle_zero_row", counted)
         for cat in ENUM_CATS:
-            calls = 0
+            rows = 0
+            count_thick(cat)
             enumerate_thick(cat)
-            if cat.kind == "cycle":
-                assert calls == cat.rank**3, cat
-            else:
-                assert calls == len(all_arcs(cat)) ** 2, cat
-        # a closure reads the same table, plus one row for each generator
-        calls = 0
-        thick_closure(cycle(6), [Arc(cycle(6), 0, 2)])
-        assert calls == 6**3 + 6**2
+            assert rows == 2 * (cat.rank if cat.kind == "cycle" else len(all_arcs(cat))), cat
+        rows = 0
+        thick_closure(cycle(6), [Arc(cycle(6), 0, 2), Arc(cycle(6), 3, 13)])
+        assert rows == 6 + 2
+        rows = 0
+        thick_closure(line(8), [line_arc(8, 2, 5)])
+        assert rows == 36 + 1
 
     def test_descriptors_pinned(self):
         # pins every field of every enumerated descriptor, and their order

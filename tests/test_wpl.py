@@ -322,6 +322,13 @@ class TestValueTypes:
         with pytest.raises(error):
             build()
 
+    @pytest.mark.parametrize("b", [(0,), (0, 0, 0)], ids=["short", "long"])
+    def test_wrong_length_grading_gives_its_coordinate_count(self, b):
+        # the printed name O(...) would drop the coordinates that are wrong
+        message = rf"grading over weights \(2, 3\) needs p = 2 coordinates, got {len(b)}$"
+        with pytest.raises(ModelMismatch, match=message):
+            top_m(W23, 2, LElement(0, b), 1)
+
 
 class TestHomExt:
     def test_global_sections_of_c(self):
