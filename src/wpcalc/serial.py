@@ -42,10 +42,14 @@ closures read.  A row is one call of ``cycle_zero_row``, which reads
 the zero set of ``cycle_dims`` off two residues per entry and calls no
 ``dims``.  On a line the index computes one row per arc; on a rank-n
 tube, tau^-1 moves every bit by n, so only the n arcs at top 0 get a
-row computed and the other rows are rotations.  The columns are the
-rows transposed.  Counting, enumeration and ``thick_closure`` all read
-this one table.  The index itself is arithmetic: bit(t, l) is
-t*n + l - 1 on U_n and t(t-1)/2 + l - 1 on A_n.  Descriptors are built
+row computed and the other rows are rotations.  The columns come from
+Serre duality: Hom(x, y) and Ext^1(x, y) are dual to Ext^1(tau^-1 y, x)
+and Hom(tau^-1 y, x), so the left mask of y is the right mask of
+tau^-1 y, the row of the arc one top higher.  Only the n arcs at the top
+of A_n need a row more: one top higher they are arcs of U_{n+1} outside
+A_n.  Counting, enumeration and ``thick_closure`` all read this one
+table.  The index itself is arithmetic: bit(t, l) is t*n + l - 1 on U_n
+and t(t-1)/2 + l - 1 on A_n.  Descriptors are built
 eagerly.  Their block structure reads one per-bit mask, the blocks
 directly below each block: one factor walk down it finds the chains and
 the cycle.  ``Arc`` values are made only for their output tuples.  An
@@ -409,7 +413,9 @@ class _ArcIndex:
     next, so the index computes only the rows of the n arcs at top 0 and
     rotates them by n bits for each later top; a line computes one row
     per arc.  Column k, ``left[k]``, is the left mask of arc k (the arcs
-    left-orthogonal to it), read off the rows by transposition.
+    left-orthogonal to it).  By Serre duality it is the right mask of
+    tau^-1 of arc k, the row of the arc one top higher; the n arcs at the
+    top of A_n get one more ``cycle_zero_row`` call each, on U_{n+1}.
     """
 
     def __init__(self, cat: SerialCat):
@@ -436,21 +442,23 @@ class _ArcIndex:
         # (sort key, factor) by the mask of the factor's blocks; a chain's
         # blocks never close up into a cycle, so one table holds both kinds
         self.factors = {}
+        # Serre duality: the left mask of y is the right mask of tau^-1 y,
+        # and tau^-1 (t, l) is (t+1, l)
         if cat.kind == "line":
+            # (t+1, l) sits t bits above (t, l); past the top t = n it is an
+            # arc of U_{n+1} outside A_n, which gets a row of its own
             rows = [self.right(g) for g in self.arcs]
+            left = [rows[k + t] for k, (_, t, _) in enumerate(self.arcs) if t < n]
+            left += [cycle_zero_row(cat.tube_rank, n + 1, l, self.arcs) for l in range(1, n + 1)]
         else:
-            # arc (t+1, l) is tau^-1 of (t, l), and tau^-1 moves every bit by n
+            # tau^-1 moves every bit by n
             size = n * n
             rows = [self.right(g) for g in self.arcs[:n]]
             for k in range(size - n):
                 r = rows[k]
                 rows.append((r << n | r >> (size - n)) & self.full)
-        self.rows = rows
-        # bit y of column k is bit k of rows[y]
-        self.left = left = [0] * len(rows)
-        for y, row in enumerate(rows):
-            for k in _bits(row):
-                left[k] |= 1 << y
+            left = rows[n:] + rows[:n]
+        self.rows, self.left = rows, left
 
     def factor(self, cat: SerialCat, walk: list) -> tuple:
         """(sort key, factor ``cat`` whose simples are the arcs at ``walk``).

@@ -39,6 +39,7 @@ import re
 from bisect import bisect_left
 from enum import Enum
 from math import comb
+from operator import floordiv, sub
 from typing import NamedTuple
 
 from . import lgroup
@@ -124,15 +125,19 @@ SheafClass = LineBundle | TorsionW | TorsionO
 
 
 def _validate(w: WplData, f: SheafClass) -> SheafClass:
+    # reads the weights tuple itself: hom_ext validates every pair, and a
+    # valid class needs neither Weights.p nor weight_of, which only raises
+    rs = w.weights.r
     if isinstance(f, LineBundle):
-        if len(f.lam.b) != w.weights.p:
+        if len(f.lam.b) != len(rs):
             raise ModelMismatch(
-                f"a line bundle grading over weights {w.weights.r} needs "
-                f"p = {w.weights.p} coordinates, got {len(f.lam.b)}"
+                f"a line bundle grading over weights {rs} needs "
+                f"p = {len(rs)} coordinates, got {len(f.lam.b)}"
             )
         return f
     if isinstance(f, TorsionW):
-        r = w.weight_of(f.i)
+        # never index with i <= 0, which would read a weight from the end
+        r = rs[f.i - 1] if 0 < f.i <= len(rs) else w.weight_of(f.i)
         if f.length < 1:
             raise ModelMismatch("torsion length must be >= 1")
         return f if 0 <= f.top < r else TorsionW(f.i, f.top % r, f.length)
@@ -181,7 +186,7 @@ def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
     if isinstance(f, LineBundle):
         if isinstance(g, LineBundle):
             lam, mu = f.lam, g.lam
-            ell = mu.a - lam.a + sum((y - x) // r for x, y, r in zip(lam.b, mu.b, rs))
+            ell = mu.a - lam.a + sum(map(floordiv, map(sub, mu.b, lam.b), rs))
             return HomExt(ell + 1 if ell >= 0 else 0, -ell - 1 if ell <= -2 else 0)
         if isinstance(g, TorsionO):
             return HomExt(g.length, 0)

@@ -708,6 +708,22 @@ class TestWalk:
         for g in all_arcs(cat, 3 * cat.rank):
             assert idx.right(g) == per_pair_row(g, idx.arcs), g
 
+    @pytest.mark.parametrize("cat", INDEX_CATS, ids=str)
+    def test_left_masks_are_serre_dual_rows(self, cat):
+        # the left mask of y, read off the rows by transposition, is the
+        # right mask of tau^-1 y: on a tube the row one top higher, on A_n
+        # the row of the arc of U_{n+1} one top higher
+        idx = serial._ArcIndex(cat)
+        transposed = [
+            sum(1 << y for y, row in enumerate(idx.rows) if row >> k & 1)
+            for k in range(len(idx.arcs))
+        ]
+        dual = [cycle_zero_row(cat.tube_rank, t + 1, l, idx.arcs) for _, t, l in idx.arcs]
+        assert idx.left == transposed == dual
+        if cat.kind == "cycle":
+            n = cat.rank
+            assert idx.left == idx.rows[n:] + idx.rows[:n]
+
     def test_left_mask_walk_counts(self):
         # past the enumeration caps: U(1..10) and A(0..9)
         for n in range(1, 11):
@@ -825,10 +841,12 @@ class TestEnumerate:
         assert shape_of_thick(whole[0]) == (True, [])
 
     def test_no_dims_call(self, monkeypatch):
-        # the zero table's rows come from cycle_zero_row, one call per row:
-        # a tube computes only the rows at top 0 and rotates them, and a
-        # closure adds one row per generator, of any length; counting,
-        # enumeration and closures call no dims
+        # the zero table comes from cycle_zero_row, one call per row: a
+        # tube computes only the rows at top 0 and rotates them, and a line
+        # one row per arc; the columns are rows one top higher, so a line
+        # adds rows for the n arcs one top above A_n; a closure adds one row
+        # per generator, of any length; counting, enumeration and closures
+        # call no dims
         def forbidden(x, y):
             raise AssertionError("dims call while building the zero table")
 
@@ -846,13 +864,14 @@ class TestEnumerate:
             rows = 0
             count_thick(cat)
             enumerate_thick(cat)
-            assert rows == 2 * (cat.rank if cat.kind == "cycle" else len(all_arcs(cat))), cat
+            per_index = cat.rank if cat.kind == "cycle" else len(all_arcs(cat)) + cat.rank
+            assert rows == 2 * per_index, cat
         rows = 0
         thick_closure(cycle(6), [Arc(cycle(6), 0, 2), Arc(cycle(6), 3, 13)])
         assert rows == 6 + 2
         rows = 0
         thick_closure(line(8), [line_arc(8, 2, 5)])
-        assert rows == 36 + 1
+        assert rows == 36 + 8 + 1
 
     def test_descriptors_pinned(self):
         # pins every field of every enumerated descriptor, and their order

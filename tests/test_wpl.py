@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -479,6 +480,38 @@ class TestHomExt:
         for name in ("Arc", "cycle"):
             monkeypatch.setattr(wpl, name, forbidden)
         assert [hom_ext(W23, f, g) for f, g in pairs] == want
+
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_point_index_out_of_range(self, i):
+        # _validate indexes the weights tuple directly, so an index <= 0
+        # must not read a weight from its end
+        f = TorsionW(i, 0, 1)
+        message = rf"^no weighted point x{i}$"
+        for call in (
+            lambda: hom_ext(W23, f, O(W23)),
+            lambda: hom_ext(W23, O(W23), f),
+            lambda: hom_ext(W23, f, TorsionW(1, 0, 1)),
+            lambda: hom_ext(W23, TorsionW(2, 0, 1), f),
+            lambda: tau_sheaf(W23, f),
+        ):
+            with pytest.raises(UnknownPoint, match=message):
+                call()
+
+    def test_valid_pairs_call_no_point_helper(self, monkeypatch):
+        # a valid class reads the weights tuple only: the full table of a
+        # seeded family keeps its values while weight_of and Weights.p raise
+        w = WplData(Weights([2, 3, 5]), ["y"])
+        family = random_classes(w, random.Random("point-helpers"), 48)
+
+        def forbidden(*args):
+            raise AssertionError("point helper on the Hom path")
+
+        monkeypatch.setattr(WplData, "weight_of", forbidden)
+        monkeypatch.setattr(Weights, "p", property(forbidden))
+        table = [[tuple(hom_ext(w, f, g)) for g in family] for f in family]
+        assert {type(f) for f in family} == {LineBundle, TorsionW, TorsionO}
+        digest = hashlib.sha256(repr(table).encode()).hexdigest()
+        assert digest == "383d677047cb23abd1fa2ccd68db6eed80631cc740c6b31444081e3f003bd049"
 
     @pytest.mark.parametrize("i", [1, 2, 3, "y"])
     def test_integer_tube_route_matches_arc_route(self, i):
