@@ -6,10 +6,10 @@ error (bad flags, unparseable literals, out-of-range requests), 1
 internal invariant violation.  Text-mode errors are one-line messages,
 never tracebacks.  A command whose output grows with a rank or weight
 refuses, before building its output, an output of more than
-``MAX_OUTPUT_OBJECTS`` objects; an enumeration listing is bounded by its
-count.  ``json`` and :mod:`wpcalc.quiver` are
-imported by the code paths that use them, so a plain query starts
-without them.
+``MAX_OUTPUT_OBJECTS`` objects; an enumeration listing is bounded by the
+number of subcategories it enumerated, before it is formatted.  ``json``
+and :mod:`wpcalc.quiver` are imported by the code paths that use them,
+so a plain query starts without them.
 """
 
 import argparse
@@ -211,12 +211,12 @@ def _enumerate_payload(descs) -> list:
 
 def _cmd_enumerate(args, kind):
     cat = serial.cycle(args.rank) if kind == "cycle" else serial.line(args.rank)
-    n = serial.count_thick(cat)
     if args.count:
+        n = serial.count_thick(cat)
         _emit(args, {"category": str(cat), "count": n}, str(n))
         return
-    _bound_output(n)  # the listing has one entry per subcategory; --count lists none
     descs = serial.enumerate_thick(cat)
+    _bound_output(len(descs))  # the listing has one entry per subcategory; --count lists none
     payload = {
         "category": str(cat),
         "count": len(descs),

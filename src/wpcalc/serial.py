@@ -14,9 +14,12 @@ U_{n+1} with the same top and length.  So Hom and Ext^1 between arcs are
 one tube count, ``cycle_dims(n, shift, lx, ly)``, on the tube of rank
 ``SerialCat.tube_rank``: Hom counts the landing positions of the top
 basis vector, and Ext^1 is Serre-dual to a Hom.  The sheaf model's
-torsion pairs share the count.  The matrix oracle, :mod:`wpcalc.nilrep`
-via :func:`realize`, builds a line arc on the quiver A_n itself, so it
-checks this reading rather than repeating it.
+torsion pairs share the count.  Arcs are listed and cut the same way:
+``all_arcs`` lists the arcs of U_{n+1} with no factor at residue 0, and
+``perp_arc`` cuts U_{n+1} and drops the perpendicular's block at
+residue 0; intervals appear only in literals.  The matrix oracle,
+:mod:`wpcalc.nilrep` via :func:`realize`, builds a line arc on the
+quiver A_n itself, so it checks this reading rather than repeating it.
 
 Thick subcategories are enumerated as joins of one-arc closures.  Every
 thick subcategory here is admissible, so it is the join of the
@@ -313,45 +316,32 @@ class Embedding(NamedTuple):
 def perp_arc(e: Arc) -> Embedding:
     """Right perpendicular of an indecomposable, with explicit generators.
 
-    For a tube arc of length m < n the perpendicular is a rank n-m tube
-    times A_{m-1}; the tube factor's simples are the later simples
-    ``top+1, ..., top+n-m-1`` together with the length m+1 arc over the
-    same top, the line factor's simples are the earlier simples
-    ``top-m+1, ..., top-1``.  For m = n only the line factor survives.
-    Line categories decompose analogously, with the interval one step
-    below the removed one extended to its top.
+    Read on the tube of rank n = ``tube_rank``: for an arc of length m < n
+    with top s the perpendicular is a rank n-m tube times A_{m-1}; the
+    tube factor's simples are the length m+1 arc over s followed by the
+    simples ``s+1, ..., s+n-m-1``, the line factor's simples are
+    ``s-m+1, ..., s-1``.  For m = n only the line factor survives.  On
+    A_{n-1} the tube factor loses its block at residue 0, which leaves a
+    line factor read from residue 1 up: the simples ``1, ..., s-m-1``,
+    the arc (s, m+1) when s > m, and the simples ``s+1, ..., n-1``.
     """
     cat = e.cat
-    if cat.kind == "cycle":
-        n, m, s = cat.rank, e.length, e.top
-        if m > n:
-            raise InvalidArc(
-                f"perp_arc needs an exceptional or sphere-like arc; length {m} > rank {n}"
-            )
-        factors = []
-        if m < n:
-            images = [Arc(cat, s, m + 1)]
-            images += [Arc(cat, s + a, 1) for a in range(1, n - m)]
-            factors.append(EmbeddedFactor(cycle(n - m), tuple(images)))
-        chain = tuple(Arc(cat, s - m + i, 1) for i in range(1, m))
-        factors.append(EmbeddedFactor(line(m - 1), chain))
-        return Embedding(cat, tuple(factors))
-
-    n, m = cat.rank, e.length
-    p, q = e.interval()
-    images = []
-    if p >= 2:
-        images += [Arc(cat, i, 1) for i in range(1, p - 1)]
-        images.append(line_arc(n, p - 1, q))
-    images += [Arc(cat, i, 1) for i in range(q + 1, n + 1)]
-    chain = tuple(Arc(cat, i, 1) for i in range(p, q))
-    return Embedding(
-        cat,
-        (
-            EmbeddedFactor(line(n - m), tuple(images)),
-            EmbeddedFactor(line(m - 1), chain),
-        ),
-    )
+    n, m, s = cat.tube_rank, e.length, e.top
+    if m > n:
+        raise InvalidArc(
+            f"perp_arc needs an exceptional or sphere-like arc; length {m} > rank {n}"
+        )
+    chain = EmbeddedFactor(line(m - 1), tuple(Arc(cat, s - m + i, 1) for i in range(1, m)))
+    if cat.kind == "line":
+        images = [Arc(cat, i, 1) for i in range(1, s - m)]
+        if s > m:
+            images.append(Arc(cat, s, m + 1))
+        images += [Arc(cat, i, 1) for i in range(s + 1, n)]
+        return Embedding(cat, (EmbeddedFactor(line(n - m - 1), tuple(images)), chain))
+    if m == n:
+        return Embedding(cat, (chain,))
+    images = [Arc(cat, s, m + 1)] + [Arc(cat, s + a, 1) for a in range(1, n - m)]
+    return Embedding(cat, (EmbeddedFactor(cycle(n - m), tuple(images)), chain))
 
 
 # -- thick subcategories -------------------------------------------------------
@@ -377,14 +367,16 @@ class ThickDesc(NamedTuple):
 
 
 def all_arcs(cat: SerialCat, max_length=None):
-    """Every arc of length <= max_length (default: the rank)."""
+    """Every arc of length <= max_length (default: the rank), in ``Arc`` order.
+
+    These are the arcs of the category's tube, with no factor at residue
+    0 on a line: an arc (t, l) of A_n has l <= t.
+    """
     cap = cat.rank if max_length is None else max_length
-    if cat.kind == "cycle":
-        return [Arc(cat, t, l) for t in range(cat.rank) for l in range(1, cap + 1)]
     return [
-        line_arc(cat.rank, i, j)
-        for i in range(1, cat.rank + 1)
-        for j in range(i, min(cat.rank, i + cap - 1) + 1)
+        Arc(cat, t, l)
+        for t in range(cat.tube_rank)
+        for l in range(1, 1 + (cap if cat.kind == "cycle" else min(cap, t)))
     ]
 
 
@@ -401,10 +393,11 @@ def _bits(mask: int) -> list:
 class _ArcIndex:
     """Bitset view of the arcs of length <= rank of one category.
 
-    Bit k stands for ``arcs[k]``; bit order is ``Arc`` order, so ascending
-    bits list sorted arcs.  ``sub[k]`` masks the proper subarcs of arc k,
-    and ``below[k]`` the arcs whose top is one step below arc k's socle:
-    the one adjacency mask that the factor walk reads.
+    Bit k stands for ``arcs[k]``, the list of ``all_arcs``; bit order is
+    ``Arc`` order, so ascending bits list sorted arcs.  ``sub[k]`` masks
+    the proper subarcs of arc k, and ``below[k]`` the arcs whose top is
+    one step below arc k's socle: the one adjacency mask that the factor
+    walk reads.
     The zero table holds, for each ordered pair (g, y), whether
     Hom(g, y) = Ext^1(g, y) = 0.  Row g, ``rows[g]``, is the right mask of
     g (the arcs right-orthogonal to g); ``right`` computes one row, for an
@@ -424,12 +417,11 @@ class _ArcIndex:
         if cat.kind == "cycle":
             # bit(t, l) = t*n + l - 1; the lists are doubled, so they take the
             # tops t-l below 0 without reducing mod n
-            first, height, tops = [t * n for t in range(n)] * 2, [n] * 2 * n, range(n)
+            first, height = [t * n for t in range(n)] * 2, [n] * 2 * n
         else:
             # bit(t, l) = t(t-1)/2 + l - 1; top t has t lengths, top 0 none
-            first = [t * (t - 1) // 2 for t in range(n + 1)]
-            height, tops = range(n + 1), range(1, n + 1)
-        self.arcs = [Arc(cat, t, l) for t in tops for l in range(1, height[t] + 1)]
+            first, height = [t * (t - 1) // 2 for t in range(n + 1)], range(n + 1)
+        self.arcs = all_arcs(cat)
         self.full = (1 << len(self.arcs)) - 1
         self.sub, self.below = [], []
         for _, t, l in self.arcs:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpcalc
-from wpcalc import cli
+from wpcalc import cli, serial
 from wpcalc.cli import MAX_OUTPUT_OBJECTS, main
 
 ONES = "1" * 5000  # past the default int/str conversion limit of 4300 digits
@@ -435,6 +435,24 @@ class TestOutputBound:
         assert run(capsys, "tube", "enumerate", "3", "--count") == (0, "20\n", "")
         code, out, _ = run(capsys, "line", "enumerate", "2")  # 5, within the bound
         assert (code, out.splitlines()[0]) == (0, "A(2): 5 thick subcategories")
+
+    def test_enumeration_builds_one_index(self, capsys, monkeypatch):
+        # a listing walks the states once, in enumerate_thick, and bounds
+        # itself by what it enumerated; --count walks them once in count_thick
+        built = 0
+        real_index = serial._ArcIndex
+
+        def counted(cat):
+            nonlocal built
+            built += 1
+            return real_index(cat)
+
+        monkeypatch.setattr(serial, "_ArcIndex", counted)
+        for kind in ("tube", "line"):
+            for extra in ([], ["--count"], ["--json"]):
+                built = 0
+                assert run(capsys, kind, "enumerate", "3", *extra)[0] == 0
+                assert built == 1, (kind, extra)
 
 
 class TestErrors:

@@ -39,8 +39,21 @@ from wpcalc.serial import (
     thick_closure,
 )
 
+# U(1..12) and A(0..12): the categories whose arc lists and perpendiculars
+# are checked arc by arc
+ARC_CATS = [cycle(n) for n in range(1, 13)] + [line(n) for n in range(13)]
+# sha256 over repr(perp_arc(e)) of every arc e of length <= rank of
+# ARC_CATS, in sorted order
+PERP_DIGEST = "f2f6b5c201b8670585123358423e78a5693343b3032f7f02cd2555fd3d67565b"
+
 
 class TestArcs:
+    @pytest.mark.parametrize("cat", ARC_CATS, ids=str)
+    def test_all_arcs_lists_the_intervals_in_arc_order(self, cat):
+        n = cat.rank
+        for cap in (None, 1, 2, n, 2 * n + 1):
+            assert all_arcs(cat, cap) == interval_arcs(cat, cap), cap
+
     def test_cycle_top_normalized(self):
         assert Arc(cycle(3), -1, 2) == Arc(cycle(3), 2, 2)
 
@@ -314,6 +327,16 @@ class TestPerpArc:
         with pytest.raises(InvalidArc):
             perp_arc(Arc(cycle(3), 0, 4))
 
+    def test_perpendiculars_pinned(self):
+        # pins the factors and the order of their simple images, which
+        # wpc perp prints, for every arc of ARC_CATS
+        arcs = sorted(e for cat in ARC_CATS for e in interval_arcs(cat))
+        h = hashlib.sha256()
+        for e in arcs:
+            h.update(repr(perp_arc(e)).encode())
+        assert len(arcs) == 1014
+        assert h.hexdigest() == PERP_DIGEST
+
     def test_mapped_family_vertex_like_and_quiver(self):
         for n in range(1, 6):
             for e in all_arcs(cycle(n)):
@@ -586,14 +609,31 @@ def per_pair_row(g, arcs):
     return sum(1 << k for k, y in enumerate(arcs) if dims(g, y) == (0, 0))
 
 
+def interval_arcs(cat, max_length=None):
+    """The arcs of length <= max_length (default: the rank), sorted.
+
+    The oracle for ``all_arcs``: intervals i..j of A_n through
+    ``line_arc``, and (top, length) pairs of U_n.
+    """
+    n = cat.rank
+    cap = n if max_length is None else max_length
+    if cat.kind == "cycle":
+        arcs = [Arc(cat, t, l) for t in range(n) for l in range(1, cap + 1)]
+    else:
+        arcs = [
+            line_arc(n, i, j) for i in range(1, n + 1) for j in range(i, min(n, i + cap - 1) + 1)
+        ]
+    return sorted(arcs)
+
+
 def arc_index_oracle(cat):
     """(arcs, sub, below) of the bit index, built from ``Arc`` values.
 
-    The oracle for the index's arithmetic: bits number the sorted
-    ``all_arcs`` through a dict, subarcs are made as arcs and looked up,
+    The oracle for the index's arithmetic: bits number the interval
+    enumeration through a dict, subarcs are made as arcs and looked up,
     and the block-below masks collect the arcs by top.
     """
-    arcs = sorted(all_arcs(cat))
+    arcs = interval_arcs(cat)
     bit = {a: k for k, a in enumerate(arcs)}
     sub = [sum(1 << bit[s] for s in _proper_subarcs(a)) for a in arcs]
     if cat.kind == "cycle":
