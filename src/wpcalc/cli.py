@@ -6,10 +6,9 @@ error (bad flags, unparseable literals, out-of-range requests), 1
 internal invariant violation.  Text-mode errors are one-line messages,
 never tracebacks.  A command whose output grows with a rank or weight
 refuses, before building its output, an output of more than
-``MAX_OUTPUT_OBJECTS`` objects; an enumeration listing is bounded by the
-number of subcategories it enumerated, before it is formatted.  ``json``
-and :mod:`wpcalc.quiver` are imported by the code paths that use them,
-so a plain query starts without them.
+``MAX_OUTPUT_OBJECTS`` objects.  ``json`` and :mod:`wpcalc.quiver` are
+imported by the code paths that use them, so a plain query starts
+without them.
 """
 
 import argparse
@@ -211,22 +210,21 @@ def _enumerate_payload(descs) -> list:
 
 def _cmd_enumerate(args, kind):
     cat = serial.cycle(args.rank) if kind == "cycle" else serial.line(args.rank)
+    n = serial.count_thick(cat)
     if args.count:
-        n = serial.count_thick(cat)
         _emit(args, {"category": str(cat), "count": n}, str(n))
         return
-    descs = serial.enumerate_thick(cat)
-    _bound_output(len(descs))  # the listing has one entry per subcategory; --count lists none
+    _bound_output(n)  # the listing has one entry per subcategory; --count lists none
     payload = {
         "category": str(cat),
-        "count": len(descs),
-        "subcategories": _enumerate_payload(descs),
+        "count": n,
+        "subcategories": _enumerate_payload(serial.enumerate_thick(cat)),
     }
-    lines = [f"{str(cat)}: {len(descs)} thick subcategories"]
+    lines = [f"{str(cat)}: {n} thick subcategories"]
     for entry in payload["subcategories"]:
         sig = " ".join(f"({t},{l})" for t, l in entry["signature"]) or "-"
         shape = ("cycle+" if entry["has_cycle_factor"] else "") + ",".join(
-            f"A{n}" for n in entry["line_lengths"]
+            f"A{k}" for k in entry["line_lengths"]
         )
         lines.append(f"sig={sig} shape={shape or 'zero'}")
     _emit(args, payload, "\n".join(lines))

@@ -30,13 +30,15 @@ right orthogonal of a join is the AND of the members' right masks.  The
 walk starts from the zero subcategory's right orthogonal (every arc) and
 ANDs each state only with the right masks of its own set bits, the arcs
 g in T^perp, which joins T with g; the states it reaches are the right
-orthogonals, one per subcategory.  Counting collects them and closes
-nothing.  The states are also the member masks: T^perp is thick, and
+orthogonals, one per subcategory.  ``count_thick`` walks nothing: it
+returns the closed forms, which the tests check against the number of
+states.  The states are also the member masks: T^perp is thick, and
 every thick S is the right orthogonal of its left orthogonal.  So
 enumeration reads the signatures off the states, computes each state's
 relative simples once, and looks up a subcategory's left generators as
-the relative simples of the state that is its left orthogonal.  Bit order is ``Arc`` order, so a
-mask lists its arcs sorted, and masks sort like descriptors.
+the relative simples of the state that is its left orthogonal.  Bit
+order is ``Arc`` order, so a mask lists its arcs sorted, and masks sort
+like descriptors.
 
 The masks come from one zero table per category: entry (g, y) says
 whether Hom(g, y) and Ext^1(g, y) both vanish.  Its rows are the arcs'
@@ -50,9 +52,9 @@ Serre duality: Hom(x, y) and Ext^1(x, y) are dual to Ext^1(tau^-1 y, x)
 and Hom(tau^-1 y, x), so the left mask of y is the right mask of
 tau^-1 y, the row of the arc one top higher.  Only the n arcs at the top
 of A_n need a row more: one top higher they are arcs of U_{n+1} outside
-A_n.  Counting, enumeration and ``thick_closure`` all read this one
-table.  The index itself is arithmetic: bit(t, l) is t*n + l - 1 on U_n
-and t(t-1)/2 + l - 1 on A_n.  Descriptors are built
+A_n.  Enumeration and ``thick_closure`` both read this one table.  The
+index itself is arithmetic: bit(t, l) is t*n + l - 1 on U_n and
+t(t-1)/2 + l - 1 on A_n.  Descriptors are built
 eagerly.  Their block structure reads one per-bit mask, the blocks
 directly below each block: one factor walk down it finds the chains and
 the cycle.  ``Arc`` values are made only for their output tuples.  An
@@ -64,6 +66,7 @@ every descriptor that contains it shares it; no table outlives the call.
 import re
 from enum import Enum
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 from .errors import (
@@ -596,19 +599,21 @@ def membership(t: ThickDesc, x: Arc) -> bool:
     return all(dims(g, x) == (0, 0) for g in t.left_orthogonal)
 
 
-def _capped_index(cat: SerialCat) -> _ArcIndex:
-    """The category's index, if enumeration accepts its rank."""
+def _check_rank(cat: SerialCat):
+    """Refuse a rank past the enumeration caps."""
     if cat.kind == "cycle" and cat.rank > MAX_CYCLE_RANK:
         raise BoundExceeded(f"tube enumeration capped at rank {MAX_CYCLE_RANK}")
     if cat.kind == "line" and cat.rank > MAX_LINE_RANK:
         raise BoundExceeded(f"line enumeration capped at rank {MAX_LINE_RANK}")
-    return _ArcIndex(cat)
 
 
 def count_thick(cat: SerialCat) -> int:
-    """Number of thick subcategories; closes none and builds no descriptor."""
-    idx = _capped_index(cat)
-    return sum(1 for _ in _right_orthogonals(idx.full, idx.rows))
+    """Number of thick subcategories: C(2n, n) on U_n, Catalan C(2n+2, n+1)/(n+2) on A_n."""
+    _check_rank(cat)
+    n = cat.rank
+    if cat.kind == "cycle":
+        return comb(2 * n, n)
+    return comb(2 * n + 2, n + 1) // (n + 2)
 
 
 def enumerate_thick(cat: SerialCat):
@@ -622,7 +627,8 @@ def enumerate_thick(cat: SerialCat):
     sorted members); bit order is ``Arc`` order, so the states sort by
     (popcount, ascending bits) before any descriptor is built.
     """
-    idx = _capped_index(cat)
+    _check_rank(cat)
+    idx = _ArcIndex(cat)
     states = dict(_right_orthogonals(idx.full, idx.rows))
     rel = {mask: idx.minimal(mask, bits) for mask, bits in states.items()}
     ordered = sorted(states, key=states.__getitem__)

@@ -425,34 +425,42 @@ class TestOutputBound:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "BoundExceeded" in err
 
+    @staticmethod
+    def count_index_builds(monkeypatch):
+        """A list that gets one entry per ``_ArcIndex`` built from now on."""
+        built = []
+        real_index = serial._ArcIndex
+
+        def counted(cat):
+            built.append(cat)
+            return real_index(cat)
+
+        monkeypatch.setattr(serial, "_ArcIndex", counted)
+        return built
+
     def test_enumeration_listing_is_bounded_by_its_count(self, capsys, monkeypatch):
-        # U(3) has 20 thick subcategories and A(3) 14; --count lists none
+        # U(3) has 20 thick subcategories and A(3) 14; --count lists none.
+        # The closed-form count refuses a listing before any index is built
         monkeypatch.setattr(cli, "MAX_OUTPUT_OBJECTS", 10)
+        built = self.count_index_builds(monkeypatch)
         for kind in ("tube", "line"):
             code, out, err = run(capsys, kind, "enumerate", "3")
             assert (code, out) == (2, "")
             assert len(err.strip().splitlines()) == 1 and "BoundExceeded" in err
+        assert built == []
         assert run(capsys, "tube", "enumerate", "3", "--count") == (0, "20\n", "")
         code, out, _ = run(capsys, "line", "enumerate", "2")  # 5, within the bound
         assert (code, out.splitlines()[0]) == (0, "A(2): 5 thick subcategories")
 
     def test_enumeration_builds_one_index(self, capsys, monkeypatch):
-        # a listing walks the states once, in enumerate_thick, and bounds
-        # itself by what it enumerated; --count walks them once in count_thick
-        built = 0
-        real_index = serial._ArcIndex
-
-        def counted(cat):
-            nonlocal built
-            built += 1
-            return real_index(cat)
-
-        monkeypatch.setattr(serial, "_ArcIndex", counted)
+        # a listing walks the states once, in enumerate_thick; --count
+        # prints the closed form and builds no index
+        built = self.count_index_builds(monkeypatch)
         for kind in ("tube", "line"):
-            for extra in ([], ["--count"], ["--json"]):
-                built = 0
+            for extra in ([], ["--count"], ["--json"], ["--count", "--json"]):
+                built.clear()
                 assert run(capsys, kind, "enumerate", "3", *extra)[0] == 0
-                assert built == 1, (kind, extra)
+                assert len(built) == (0 if "--count" in extra else 1), (kind, extra)
 
 
 class TestErrors:

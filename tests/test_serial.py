@@ -596,6 +596,12 @@ def all_rows_walk(full, rows):
     return seen
 
 
+def walk_count(cat):
+    """Number of states of the engine's walk, on an index that has no cap."""
+    idx = serial._ArcIndex(cat)
+    return len(dict(serial._right_orthogonals(idx.full, idx.rows)))
+
+
 def _proper_subarcs(a):
     for j in range(1, a.length):
         if a.cat.kind == "cycle":
@@ -785,6 +791,21 @@ class TestWalk:
             }
             assert left_mask_states(idx) == with_cycle, n
 
+    @pytest.mark.parametrize(
+        "cat", [cycle(n) for n in range(1, 10)] + [line(n) for n in range(12)], ids=str
+    )
+    def test_walk_counts_the_closed_forms(self, cat):
+        # the walk is the oracle for count_thick's closed forms, past the
+        # caps too, where count_thick refuses
+        n = cat.rank
+        if cat.kind == "cycle":
+            expected = comb(2 * n, n)
+        else:
+            expected = comb(2 * n + 2, n + 1) // (n + 2)
+        assert walk_count(cat) == expected
+        if cat in ENUM_CATS:
+            assert count_thick(cat) == expected
+
     def test_closure_permutes_the_states(self):
         # the descriptor lookups rest on this: every state is a closed
         # member mask, and closing maps the finite state set onto itself,
@@ -844,29 +865,24 @@ class TestEnumerate:
             assert f"capped at rank {cap}" in str(counted.value)
 
     def test_no_perpendicular_recursion(self, monkeypatch):
-        # enumeration walks right masks in the category itself: it needs
-        # no perpendicular
+        # the walk and enumeration work on right masks in the category
+        # itself: they need no perpendicular
         def forbidden(*args):
             raise AssertionError("perpendicular recursion in enumeration")
 
         monkeypatch.setattr(serial, "perp_arc", forbidden)
-        for n in range(1, MAX_CYCLE_RANK + 1):
-            assert count_thick(cycle(n)) == len(enumerate_thick(cycle(n))) == comb(2 * n, n)
-        for n in range(MAX_LINE_RANK + 1):
-            catalan = comb(2 * n + 2, n + 1) // (n + 2)
-            assert count_thick(line(n)) == len(enumerate_thick(line(n))) == catalan
+        for cat in ENUM_CATS:
+            assert walk_count(cat) == len(enumerate_thick(cat)) == count_thick(cat), cat
 
     def test_count_closes_nothing(self, monkeypatch):
-        # distinct right orthogonals are one per subcategory, so counting
-        # needs no closure
+        # distinct right orthogonals are one per subcategory, so the walk
+        # counts them with no closure
         def forbidden(*args):
             raise AssertionError("closure while counting")
 
         monkeypatch.setattr(serial._ArcIndex, "left_of", forbidden)
-        for n in range(1, MAX_CYCLE_RANK + 1):
-            assert count_thick(cycle(n)) == comb(2 * n, n)
-        for n in range(MAX_LINE_RANK + 1):
-            assert count_thick(line(n)) == comb(2 * n + 2, n + 1) // (n + 2)
+        for cat in ENUM_CATS:
+            assert walk_count(cat) == count_thick(cat), cat
 
     def test_deterministic_order(self):
         a = enumerate_thick(cycle(3))
@@ -885,8 +901,8 @@ class TestEnumerate:
         # tube computes only the rows at top 0 and rotates them, and a line
         # one row per arc; the columns are rows one top higher, so a line
         # adds rows for the n arcs one top above A_n; a closure adds one row
-        # per generator, of any length; counting, enumeration and closures
-        # call no dims
+        # per generator, of any length; enumeration and closures call no
+        # dims, and counting, a closed form, computes no row
         def forbidden(x, y):
             raise AssertionError("dims call while building the zero table")
 
@@ -903,9 +919,10 @@ class TestEnumerate:
         for cat in ENUM_CATS:
             rows = 0
             count_thick(cat)
+            assert rows == 0, cat
             enumerate_thick(cat)
             per_index = cat.rank if cat.kind == "cycle" else len(all_arcs(cat)) + cat.rank
-            assert rows == 2 * per_index, cat
+            assert rows == per_index, cat
         rows = 0
         thick_closure(cycle(6), [Arc(cycle(6), 0, 2), Arc(cycle(6), 3, 13)])
         assert rows == 6 + 2
