@@ -85,6 +85,78 @@ def random_classes(w, rng, count):
     return out
 
 
+class SubLineBundle(LineBundle):
+    __slots__ = ()
+
+
+class SubTorsionW(TorsionW):
+    __slots__ = ()
+
+
+class SubTorsionO(TorsionO):
+    __slots__ = ()
+
+
+# the models of the hom_ext pin: weighted and ordinary points, one weighted
+# point only, four, and none
+PIN_MODELS = (WplData(Weights([2, 3, 5]), ["y"]), WplData(Weights([7])), W2222, WP1)
+
+
+def pin_classes(w, rng):
+    """Seeded classes over w for the hom_ext pin, the invalid ones last.
+
+    Gradings are raw (b_i in [-3 r_i, 3 r_i], a possibly negative), tops
+    fall outside 0..r_i - 1, arcs reach length 10^6, and each kind the
+    model has appears once as a subclass instance.  The invalid classes
+    name point 0, -1 and p + 1, length 0, an undeclared label and the
+    wrong grading length, or are no class at all.
+    """
+    rs, p = w.weights.r, w.weights.p
+    valid = [
+        LineBundle(LElement(rng.randint(-5, 5), tuple(rng.randint(-3 * r, 3 * r) for r in rs)))
+        for _ in range(10)
+    ]
+    for i, r in enumerate(rs, start=1):
+        for length in (1, rng.randint(2, 3 * r + 1), rng.randint(10, 10**6), 10**6):
+            valid.append(TorsionW(i, rng.randint(-3 * r, 3 * r), length))
+    for y in w.ordinary:
+        valid += [TorsionO(y, length) for length in (1, rng.randint(2, 9), 10**6)]
+    valid.append(SubLineBundle(LElement(-1, tuple(r + 1 for r in rs))))
+    if p:
+        valid.append(SubTorsionW(p, -1, rng.randint(1, 10**6)))
+    if w.ordinary:
+        valid.append(SubTorsionO(w.ordinary[0], rng.randint(1, 10**6)))
+    invalid = [TorsionW(0, 0, 1), TorsionW(-1, 0, 1), TorsionW(p + 1, 0, 1), TorsionW(0, 0, 0)]
+    if p:
+        invalid.append(TorsionW(1, 0, 0))
+    if w.ordinary:
+        invalid.append(TorsionO(w.ordinary[0], 0))
+    invalid += [
+        TorsionO("nowhere", 1),
+        TorsionO("nowhere", 0),
+        LineBundle(LElement(0, (0,) * (p + 1))),
+        LineBundle(LElement(0, (0,) * (p - 1))) if p else LineBundle(LElement(0, (0,))),
+        "O(0)",
+        None,
+        (1, 0, 1),
+        LElement(0, (0,) * p),
+    ]
+    return valid + invalid
+
+
+def pin_table(w, classes):
+    """hom_ext and euler on every ordered pair, or the error's type and message."""
+    table = []
+    for f, g in itertools.product(classes, repeat=2):
+        try:
+            he = hom_ext(w, f, g)
+            assert type(he) is wpl.HomExt and he == (he.hom, he.ext1)
+            table.append((tuple(he), euler(w, f, g)))
+        except Exception as exc:  # noqa: BLE001
+            table.append((type(exc).__name__, str(exc)))
+    return table
+
+
 def by_position(q):
     """The quiver with each vertex renamed to its position."""
     pos = {v: k for k, v in enumerate(q.vertices)}
@@ -512,6 +584,19 @@ class TestHomExt:
         assert {type(f) for f in family} == {LineBundle, TorsionW, TorsionO}
         digest = hashlib.sha256(repr(table).encode()).hexdigest()
         assert digest == "383d677047cb23abd1fa2ccd68db6eed80631cc740c6b31444081e3f003bd049"
+
+    def test_seeded_table_pin(self):
+        # every answer and every error of hom_ext and euler on a seeded
+        # table, raw classes, long arcs, subclass instances and invalid
+        # classes in either slot included
+        tables = [
+            pin_table(w, pin_classes(w, random.Random(f"pin:{k}"))) for k, w in enumerate(PIN_MODELS)
+        ]
+        errors = {entry for table in tables for entry in table if isinstance(entry[0], str)}
+        assert {kind for kind, _ in errors} == {"ModelMismatch", "UnknownPoint"}
+        assert len(errors) == 22
+        digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+        assert digest == "4d380c24179a677154eff06bc276a3dccd31851084e959292cd4b9b010c47479"
 
     @pytest.mark.parametrize("i", [1, 2, 3, "y"])
     def test_integer_tube_route_matches_arc_route(self, i):
