@@ -180,13 +180,15 @@ def cycle_dims(n: int, shift: int, lx: int, ly: int) -> HomExt:
     with y.top - x.top = shift.
 
     A map is determined by the image of the top basis vector of x, which
-    must live in the fiber of y at x.top and die after lx shifts.  Ext^1
-    is Hom(y, tau x): lengths swapped, shift x.top - 1 - y.top.
+    must land in the fiber of y at x.top and die after lx shifts: on one
+    of the positions k of y in [ly - m, ly - 1], m = min(lx, ly), with
+    k = shift mod n.  Ext^1 is Hom(y, tau x): lengths swapped, shift
+    x.top - 1 - y.top, so k in [lx - m, lx - 1] with k = -shift - 1 mod n.
+    Each count is a difference of two floor quotients.
     """
-    return HomExt(
-        _count_congruent(max(0, ly - lx), ly - 1, shift, n),
-        _count_congruent(max(0, lx - ly), lx - 1, -shift - 1, n),
-    )
+    m = lx if lx < ly else ly
+    hom = (ly - 1 - shift) // n - (ly - m - 1 - shift) // n
+    return tuple.__new__(HomExt, (hom, (lx + shift) // n - (lx - m + shift) // n))
 
 
 def cycle_zero_row(n: int, top: int, length: int, arcs) -> int:

@@ -10,8 +10,14 @@ the top of O(lam) at x_i the simple S_{i, b_i(lam)}.
 Ext^1 is Serre-dual to a Hom: ``Ext^1(f, g) = Hom(g, tau f)``, with tau
 the shift by omega on bundles and the tube translate on torsion.
 ``hom_ext`` reads both numbers off integers, one branch per kind of
-pair, and builds no tau f, arc or grading (no lgroup call).  Torsion at
-two distinct points has neither Homs nor Exts; the other kinds are:
+pair, and builds no tau f, arc or grading (no lgroup call).  It finds
+the branch by the identity of ``type(f)`` and ``type(g)``: ``_validate``
+dispatches the same way and returns an instance of exactly one of the
+three kinds, re-reading a subclass instance as the kind it derives
+from.  Fields are read by unpacking the tuples, and each answer is built
+by ``tuple.__new__(HomExt, ...)``, which skips the NamedTuple's
+Python-level ``__new__``.  Torsion at two distinct points has neither
+Homs nor Exts; the other kinds are:
 
 * O(lam) to O(mu): with ``l = mu.a - lam.a + sum((mu.b_i - lam.b_i) // r_i)``,
   the c-coefficient of the normal form of mu - lam, Hom is ``l+1`` if
@@ -125,30 +131,43 @@ SheafClass = LineBundle | TorsionW | TorsionO
 
 
 def _validate(w: WplData, f: SheafClass) -> SheafClass:
-    # reads the weights tuple itself: hom_ext validates every pair, and a
-    # valid class needs neither Weights.p nor weight_of, which only raises
-    rs = w.weights.r
-    if isinstance(f, LineBundle):
-        if len(f.lam.b) != len(rs):
+    """f with its top in 0..r_i - 1, of exactly one of the three kinds.
+
+    One dispatch on ``type(f)`` by identity; a subclass instance is read
+    as the kind it derives from, so callers dispatch the same way.  Reads
+    the weights tuple itself: hom_ext validates every pair, and a valid
+    class needs neither Weights.p nor weight_of, which only raises.
+    """
+    kind = type(f)
+    if kind is LineBundle:
+        rs = w.weights.r
+        b = f[0].b
+        if len(b) != len(rs):
             raise ModelMismatch(
                 f"a line bundle grading over weights {rs} needs "
-                f"p = {len(rs)} coordinates, got {len(f.lam.b)}"
+                f"p = {len(rs)} coordinates, got {len(b)}"
             )
         return f
-    if isinstance(f, TorsionW):
+    if kind is TorsionW:
+        rs = w.weights.r
+        i, top, length = f
         # never index with i <= 0, which would read a weight from the end
-        r = rs[f.i - 1] if 0 < f.i <= len(rs) else w.weight_of(f.i)
-        if f.length < 1:
+        r = rs[i - 1] if 0 < i <= len(rs) else w.weight_of(i)
+        if length < 1:
             raise ModelMismatch("torsion length must be >= 1")
-        return f if 0 <= f.top < r else TorsionW(f.i, f.top % r, f.length)
-    if isinstance(f, TorsionO):
-        labels = w.ordinary  # sorted, so a bisection finds f.y
-        k = bisect_left(labels, f.y)
-        if k == len(labels) or labels[k] != f.y:
-            raise UnknownPoint(f"ordinary point {f.y!r} was not declared")
-        if f.length < 1:
+        return f if 0 <= top < r else tuple.__new__(TorsionW, (i, top % r, length))
+    if kind is TorsionO:
+        y, length = f
+        labels = w.ordinary  # sorted, so a bisection finds y
+        k = bisect_left(labels, y)
+        if k == len(labels) or labels[k] != y:
+            raise UnknownPoint(f"ordinary point {y!r} was not declared")
+        if length < 1:
             raise ModelMismatch("torsion length must be >= 1")
         return f
+    for kind in (LineBundle, TorsionW, TorsionO):
+        if isinstance(f, kind):
+            return _validate(w, tuple.__new__(kind, f))
     raise ModelMismatch(f"not a sheaf class: {f!r}")
 
 
@@ -182,24 +201,30 @@ def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
     """(dim Hom(f, g), dim Ext^1(f, g)), read off integers by the kinds of the pair."""
     f = _validate(w, f)
     g = _validate(w, g)
-    rs = w.weights.r
-    if isinstance(f, LineBundle):
-        if isinstance(g, LineBundle):
-            lam, mu = f.lam, g.lam
-            ell = mu.a - lam.a + sum(map(floordiv, map(sub, mu.b, lam.b), rs))
-            return HomExt(ell + 1 if ell >= 0 else 0, -ell - 1 if ell <= -2 else 0)
-        if isinstance(g, TorsionO):
-            return HomExt(g.length, 0)
-        return HomExt(_count_congruent(g.top - g.length + 1, g.top, f.lam.b[g.i - 1], rs[g.i - 1]), 0)
-    if isinstance(g, LineBundle):  # Ext^1(f, g) = Hom(g, tau f), tau f's top is f.top - 1
-        if isinstance(f, TorsionO):
-            return HomExt(0, f.length)
-        return HomExt(0, _count_congruent(f.top - f.length, f.top - 1, g.lam.b[f.i - 1], rs[f.i - 1]))
-    if isinstance(f, TorsionW) and isinstance(g, TorsionW) and f.i == g.i:
-        return tube_dims(rs[f.i - 1], g.top - f.top, f.length, g.length)
-    if isinstance(f, TorsionO) and isinstance(g, TorsionO) and f.y == g.y:
-        return tube_dims(1, 0, f.length, g.length)
-    return HomExt(0, 0)  # torsion at two distinct points
+    kf, kg = type(f), type(g)
+    if kf is LineBundle:
+        (lam,) = f
+        if kg is LineBundle:
+            (mu,) = g
+            ell = mu.a - lam.a + sum(map(floordiv, map(sub, mu.b, lam.b), w.weights.r))
+            return tuple.__new__(HomExt, (ell + 1 if ell >= 0 else 0, -ell - 1 if ell <= -2 else 0))
+        if kg is TorsionO:
+            return tuple.__new__(HomExt, (g[1], 0))
+        i, top, length = g
+        hom = _count_congruent(top - length + 1, top, lam.b[i - 1], w.weights.r[i - 1])
+        return tuple.__new__(HomExt, (hom, 0))
+    if kg is LineBundle:  # Ext^1(f, g) = Hom(g, tau f), tau f's top is f.top - 1
+        if kf is TorsionO:
+            return tuple.__new__(HomExt, (0, f[1]))
+        i, top, length = f
+        ext1 = _count_congruent(top - length, top - 1, g[0].b[i - 1], w.weights.r[i - 1])
+        return tuple.__new__(HomExt, (0, ext1))
+    if kf is kg and f[0] == g[0]:  # torsion at one point, x_i or an ordinary label
+        if kf is TorsionW:
+            (i, top, lx), (_, top_g, ly) = f, g
+            return tube_dims(w.weights.r[i - 1], top_g - top, lx, ly)
+        return tube_dims(1, 0, f[1], g[1])
+    return tuple.__new__(HomExt, (0, 0))  # torsion at two distinct points
 
 
 def euler(w: WplData, f: SheafClass, g: SheafClass) -> int:
@@ -401,17 +426,22 @@ def classify_generated(w: WplData, family) -> Classification:
     is vertex-like); otherwise undetermined.  Never asserts a negative.
     The torsion/torsion-free split is no third criterion: Hom from torsion
     to a bundle is 0, so vertex-like parts with no Homs from the bundles
-    to the torsion make a vertex-like family.
+    to the torsion make a vertex-like family.  A repeat generates nothing
+    new, so the criteria see each class once, under the first member
+    given for it (its vertex label).
     """
-    objs = [_validate(w, f) for f in family]
-    if not objs:
+    first = {}
+    for f in family:
+        first.setdefault(_validate(w, f), f)
+    if not first:
         raise ModelMismatch("classify_generated needs a non-empty collection")
-    bundles = [f for f in objs if rank_of(f) > 0]
-    spheres = [f for f in objs if is_sphere_like(w, f)]
+    bundles = [f for f in first if rank_of(f) > 0]
+    spheres = [f for f in first if is_sphere_like(w, f)]
     if bundles and spheres:
         return Classification(ClassifyKind.BIG, witnesses=(bundles[0], spheres[0]))
     try:
-        return Classification(ClassifyKind.QUIVER_LIKE, quiver=ext_quiver_of(w, family))
+        quiver = ext_quiver_of(w, list(first.values()))
+        return Classification(ClassifyKind.QUIVER_LIKE, quiver=quiver)
     except NotVertexLike:
         return Classification(ClassifyKind.UNDETERMINED)
 

@@ -173,6 +173,29 @@ class TestCommands:
         assert doc["kind"] == "big"
         assert doc["witnesses"] == ["O(0)", "S(1,1)[2]"]
 
+    @pytest.mark.parametrize(
+        "weights, objects, once, want",
+        [
+            ("2,3", ["O(0)", "O(0)"], ["O(0)"], "quiver_like\nvertices: O(0)"),
+            # equal once normalized: S(1,2) is S(1,0) at weight 2
+            ("2", ["S(1,0)", "S(1,2)"], ["S(1,0)"], "quiver_like\nvertices: S(1,0)"),
+            (
+                "2",
+                ["S(1,1)", "O(0)", "S(1,3)", "O(x1-x1)"],
+                ["S(1,1)", "O(0)"],
+                "quiver_like\nvertices: S(1,1) O(0)\narrow: O(0) S(1,1)",
+            ),
+        ],
+    )
+    def test_classify_repeats_generate_nothing_new(self, capsys, weights, objects, once, want):
+        # a repeated class, literally or after normalization, leaves the
+        # generated subcategory and so the answer as without the repeat
+        code, out, _ = run(capsys, "classify", "--weights", weights, *objects)
+        assert (code, out.strip()) == (0, want)
+        assert run(capsys, "classify", "--weights", weights, *once)[1] == out
+        code, out, _ = run(capsys, "classify", "--weights", weights, *objects, "--json")
+        assert (code, out) == (0, run(capsys, "classify", "--weights", weights, *once, "--json")[1])
+
     def test_canonical(self, capsys):
         code, out, _ = run(capsys, "canonical", "--weights", "2,3")
         assert code == 0

@@ -188,6 +188,21 @@ class TestDims:
                 pairs += 1
         assert pairs == 27_482
 
+    def test_cycle_dims_matches_landing_positions(self):
+        # cycle_dims against its docstring, position by position: Hom
+        # counts the positions k of y where the top basis vector of x can
+        # land (fiber of y at x.top, dead after lx shifts), Ext^1 is
+        # Hom(y, tau x); n = 1..8, shifts -3n..3n, lengths 1..3n+1
+        def landings(n, shift, lx, ly):
+            return sum(1 for k in range(ly) if (k - shift) % n == 0 and k + lx >= ly)
+
+        for n in range(1, 9):
+            lengths = range(1, 3 * n + 2)
+            for shift in range(-3 * n, 3 * n + 1):
+                for lx, ly in itertools.product(lengths, repeat=2):
+                    hom, ext1 = landings(n, shift, lx, ly), landings(n, -shift - 1, ly, lx)
+                    assert cycle_dims(n, shift, lx, ly) == (hom, ext1), (n, shift, lx, ly)
+
     def test_zero_row_matches_cycle_dims(self):
         # every shift -3n..3n and pair of lengths 1..3n on U(1..12); on U(1)
         # every shift is 0 mod n.  Entries are plain (cat, top, length)

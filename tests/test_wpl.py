@@ -1057,6 +1057,15 @@ class TestClassify:
         g = [O(W2222), O(W2222, "c"), O(W2222, "2c")]
         assert classify_generated(W2222, g).kind == ClassifyKind.UNDETERMINED
 
+    def test_repeats_keep_the_first_member(self):
+        # TorsionW(1, 3, 1) and TorsionW(1, 1, 1) are one class at weight 2:
+        # the criteria see it once, labelled by the member given first
+        raw = [TorsionW(1, 3, 1), O(W2222), TorsionW(1, 1, 1), SubLineBundle(LElement(0, (0,) * 4))]
+        res = classify_generated(W2222, raw)
+        assert res.kind == ClassifyKind.QUIVER_LIKE
+        assert res.quiver.vertices == ("S(1,3)", "O(0)")
+        assert res == classify_generated(W2222, raw[:2])
+
     def test_ordinary_sphere_counts(self):
         g = [O(W23), TorsionO("y", 1)]
         assert classify_generated(W23, g).kind == ClassifyKind.BIG
