@@ -209,13 +209,13 @@ def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
             ell = mu.a - lam.a + sum(map(floordiv, map(sub, mu.b, lam.b), w.weights.r))
             return tuple.__new__(HomExt, (ell + 1 if ell >= 0 else 0, -ell - 1 if ell <= -2 else 0))
         if kg is TorsionO:
-            return tuple.__new__(HomExt, (g[1], 0))
+            return tuple.__new__(HomExt, (g.length, 0))
         i, top, length = g
         hom = _count_congruent(top - length + 1, top, lam.b[i - 1], w.weights.r[i - 1])
         return tuple.__new__(HomExt, (hom, 0))
     if kg is LineBundle:  # Ext^1(f, g) = Hom(g, tau f), tau f's top is f.top - 1
         if kf is TorsionO:
-            return tuple.__new__(HomExt, (0, f[1]))
+            return tuple.__new__(HomExt, (0, f.length))
         i, top, length = f
         ext1 = _count_congruent(top - length, top - 1, g[0].b[i - 1], w.weights.r[i - 1])
         return tuple.__new__(HomExt, (0, ext1))
@@ -223,7 +223,7 @@ def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
         if kf is TorsionW:
             (i, top, lx), (_, top_g, ly) = f, g
             return tube_dims(w.weights.r[i - 1], top_g - top, lx, ly)
-        return tube_dims(1, 0, f[1], g[1])
+        return tube_dims(1, 0, f.length, g.length)
     return tuple.__new__(HomExt, (0, 0))  # torsion at two distinct points
 
 

@@ -186,6 +186,7 @@ class TestCommands:
                 "quiver_like\nvertices: S(1,1) O(0)\narrow: O(0) S(1,1)",
             ),
         ],
+        ids=["literal", "normalized", "mixed"],
     )
     def test_classify_repeats_generate_nothing_new(self, capsys, weights, objects, once, want):
         # a repeated class, literally or after normalization, leaves the

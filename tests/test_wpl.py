@@ -590,7 +590,8 @@ class TestHomExt:
         # table, raw classes, long arcs, subclass instances and invalid
         # classes in either slot included
         tables = [
-            pin_table(w, pin_classes(w, random.Random(f"pin:{k}"))) for k, w in enumerate(PIN_MODELS)
+            pin_table(w, pin_classes(w, random.Random(f"pin:{k}")))
+            for k, w in enumerate(PIN_MODELS)
         ]
         errors = {entry for table in tables for entry in table if isinstance(entry[0], str)}
         assert {kind for kind, _ in errors} == {"ModelMismatch", "UnknownPoint"}
