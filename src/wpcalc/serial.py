@@ -64,8 +64,6 @@ every descriptor that contains it shares it; no table outlives the call.
 """
 
 import re
-from enum import Enum
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -159,20 +157,9 @@ def line_arc(n: int, i: int, j: int) -> Arc:
     return Arc(line(n), j, j - i + 1)
 
 
-class ArcClass(Enum):
-    EXCEPTIONAL = "exceptional"
-    SPHERE_LIKE = "sphere_like"
-    NEITHER = "neither"
-
-
 class HomExt(NamedTuple):
     hom: int
     ext1: int
-
-
-def _count_congruent(lo: int, hi: int, residue: int, n: int) -> int:
-    """#{ j in [lo, hi] : j = residue mod n }, for hi >= lo - 1."""
-    return (hi - residue) // n - (lo - 1 - residue) // n
 
 
 def cycle_dims(n: int, shift: int, lx: int, ly: int) -> HomExt:
@@ -226,23 +213,9 @@ def dims(x: Arc, y: Arc) -> HomExt:
     return cycle_dims(cat.tube_rank, y.top - x.top, x.length, y.length)
 
 
-def classify_arc(a: Arc) -> ArcClass:
-    """Exceptional / sphere-like / neither, by length against the tube rank.
-
-    A line arc is shorter than rank + 1, so it is exceptional.
-    """
-    n = a.cat.tube_rank
-    if a.length < n:
-        return ArcClass.EXCEPTIONAL
-    if a.length == n:
-        return ArcClass.SPHERE_LIKE
-    return ArcClass.NEITHER
-
-
 # -- matrix realization -------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
 def cycle_quiver(n: int) -> "Quiver":
     """Oriented cycle Z_n on vertices 0..n-1, arrows i -> i+1 (mod n)."""
     from .quiver import Quiver
@@ -250,7 +223,6 @@ def cycle_quiver(n: int) -> "Quiver":
     return Quiver(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-@lru_cache(maxsize=32)
 def line_quiver(n: int) -> "Quiver":
     """Linear quiver A_n on vertices 1..n, arrows i -> i+1."""
     from .quiver import Quiver
@@ -457,15 +429,6 @@ class _ArcIndex:
             left = rows[n:] + rows[:n]
         self.rows, self.left = rows, left
 
-    def factor(self, cat: SerialCat, walk: list) -> tuple:
-        """(sort key, factor ``cat`` whose simples are the arcs at ``walk``).
-
-        ``walk`` runs from the bottom block up.  Disjoint chains of one
-        length differ in their bottom block, so the key, which orders by
-        (-length, bottom block), sorts chains by (-length, bits).
-        """
-        return walk[0] - len(walk) * len(self.arcs), EmbeddedFactor(cat, self.members(walk))
-
     def right(self, g: Arc) -> int:
         """Mask of the arcs right-orthogonal to g, an arc of any length."""
         return cycle_zero_row(self.cat.tube_rank, g.top, g.length, self.arcs)
@@ -528,10 +491,11 @@ def _block_structure(idx: _ArcIndex, rel: list) -> Embedding:
         rest ^= blocks
         if blocks not in interned:
             # walk runs from the top block down; reversed, images[k-1] is
-            # below images[k]
+            # below images[k]; the key orders by (-length, bottom block)
             walk.reverse()
             factor_cat = idx.cycles[len(walk) - 1] if under else idx.lines[len(walk)]
-            interned[blocks] = idx.factor(factor_cat, walk)
+            key = walk[0] - len(walk) * len(idx.arcs)
+            interned[blocks] = key, EmbeddedFactor(factor_cat, idx.members(walk))
         if under:
             cycle_factor = (interned[blocks][1],)
         else:

@@ -27,9 +27,11 @@ Homs nor Exts; the other kinds are:
   exactly ``-l-2``;
 * line bundle to torsion: Hom is the number of the arc's composition
   factors that are the top of the bundle, i.e. factors S_{i,j} with
-  ``j = b_i(lam) mod r_i`` (every factor at an ordinary point);
+  ``j = b_i(lam) mod r_i`` (every factor at an ordinary point).  With
+  ``s = top - b_i`` that is ``s // r_i - (s - length) // r_i``, a
+  difference of two floor quotients as in ``cycle_dims``;
 * torsion to line bundle: Ext^1 is the same count against the arc tau f,
-  whose top is one lower;
+  whose top is one lower, so ``s = top - 1 - b_i``;
 * torsion to torsion at a common point: tube arithmetic, one
   :func:`wpcalc.serial.cycle_dims` call for Hom and Ext^1 together.
 
@@ -58,7 +60,7 @@ from .errors import (
     check_digit_runs,
 )
 from .lgroup import LElement, Weights
-from .serial import Arc, ArcClass, HomExt, _count_congruent, classify_arc, cycle, perp_arc
+from .serial import Arc, HomExt, cycle, perp_arc
 from .serial import cycle_dims as tube_dims
 
 _POINT_X = re.compile(r"x(\d+)")  # x<i> addresses the weighted point x_i
@@ -175,16 +177,12 @@ def rank_of(f: SheafClass) -> int:
     return 1 if isinstance(f, LineBundle) else 0
 
 
-def _tube_arc(w: WplData, f) -> Arc:
-    if isinstance(f, TorsionW):
-        return Arc(cycle(w.weight_of(f.i)), f.top, f.length)
-    return Arc(cycle(1), 0, f.length)
-
-
 def is_sphere_like(w: WplData, f: SheafClass) -> bool:
-    """Torsion arc whose length equals the weight of its point (its tube's rank)."""
+    """Torsion arc whose length equals the weight of its point (1 at an ordinary point)."""
     f = _validate(w, f)
-    return not isinstance(f, LineBundle) and classify_arc(_tube_arc(w, f)) is ArcClass.SPHERE_LIKE
+    if isinstance(f, TorsionW):
+        return f.length == w.weights.r[f.i - 1]
+    return isinstance(f, TorsionO) and f.length == 1
 
 
 def tau_sheaf(w: WplData, f: SheafClass) -> SheafClass:
@@ -211,14 +209,14 @@ def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
         if kg is TorsionO:
             return tuple.__new__(HomExt, (g.length, 0))
         i, top, length = g
-        hom = _count_congruent(top - length + 1, top, lam.b[i - 1], w.weights.r[i - 1])
-        return tuple.__new__(HomExt, (hom, 0))
+        r, s = w.weights.r[i - 1], top - lam.b[i - 1]
+        return tuple.__new__(HomExt, (s // r - (s - length) // r, 0))
     if kg is LineBundle:  # Ext^1(f, g) = Hom(g, tau f), tau f's top is f.top - 1
         if kf is TorsionO:
             return tuple.__new__(HomExt, (0, f.length))
         i, top, length = f
-        ext1 = _count_congruent(top - length, top - 1, g[0].b[i - 1], w.weights.r[i - 1])
-        return tuple.__new__(HomExt, (0, ext1))
+        r, s = w.weights.r[i - 1], top - 1 - g[0].b[i - 1]
+        return tuple.__new__(HomExt, (0, s // r - (s - length) // r))
     if kf is kg and f[0] == g[0]:  # torsion at one point, x_i or an ordinary label
         if kf is TorsionW:
             (i, top, lx), (_, top_g, ly) = f, g
@@ -372,9 +370,8 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
     e = _validate(w, e)
     if not isinstance(e, TorsionW):
         raise NotExceptionalTorsion("perpendicular reduction needs weighted torsion")
-    arc = _tube_arc(w, e)
-    r, m = arc.cat.rank, e.length
-    if classify_arc(arc) is not ArcClass.EXCEPTIONAL:
+    r, m = w.weights.r[e.i - 1], e.length
+    if m >= r:
         raise NotExceptionalTorsion(
             f"arc of length {m} at a weight-{r} point is not exceptional"
         )
@@ -384,7 +381,7 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
         del new_r[e.i - 1]
     else:
         new_r[e.i - 1] = r - m
-    tube, chain = perp_arc(arc).factors
+    tube, chain = perp_arc(Arc(cycle(r), e.top, m)).factors
 
     def classes(arcs):
         return tuple(TorsionW(e.i, a.top, a.length) for a in arcs)

@@ -19,10 +19,8 @@ from wpcalc.serial import (
     MAX_CYCLE_RANK,
     MAX_LINE_RANK,
     Arc,
-    ArcClass,
     SerialCat,
     all_arcs,
-    classify_arc,
     count_thick,
     cycle,
     cycle_dims,
@@ -266,16 +264,23 @@ def _base_change(rng, rep, scalars=None):
 
 
 class TestClassify:
+    # an arc is exceptional when End = k and Ext^1(a, a) = 0, sphere-like
+    # when both are k, and neither past the tube rank
     @pytest.mark.parametrize(
         "length,expected",
-        [(2, ArcClass.EXCEPTIONAL), (3, ArcClass.SPHERE_LIKE), (4, ArcClass.NEITHER)],
+        [
+            pytest.param(2, (1, 0), id="2-exceptional"),
+            pytest.param(3, (1, 1), id="3-sphere_like"),
+            pytest.param(4, (2, 1), id="4-neither"),
+        ],
     )
     def test_cycle3(self, length, expected):
-        assert classify_arc(Arc(cycle(3), 0, length)) == expected
+        a = Arc(cycle(3), 0, length)
+        assert dims(a, a) == expected
 
     def test_line_always_exceptional(self):
         for a in all_arcs(line(4)):
-            assert classify_arc(a) == ArcClass.EXCEPTIONAL
+            assert dims(a, a) == (1, 0)
 
 
 def expected_factor_quiver(emb):
@@ -681,7 +686,7 @@ def exceptional_sequences(idx):
     left = idx.left
     exceptional = 0
     for k, a in enumerate(idx.arcs):
-        if classify_arc(a) == ArcClass.EXCEPTIONAL:
+        if dims(a, a) == (1, 0):
             exceptional |= 1 << k
     memo = {}
 

@@ -975,6 +975,44 @@ class TestPerpTorsion:
         with pytest.raises(NotExceptionalTorsion):
             perp_exceptional_torsion(W3333, O(W3333))
 
+    def test_seeded_sweep_matches_arc_recipes(self):
+        # the arc recipes written out: an arc of length l on a rank-r tube is
+        # exceptional for l < r and sphere-like for l == r, and the
+        # bundle/torsion counts are the factors S_{i,j} with j = b_i mod r
+        # among the arc's (Hom) or tau of the arc's (Ext^1), counted one by one
+        w = WplData(Weights([2, 3, 4, 5, 6, 7]), ["y"])
+        rs = w.weights.r
+        rng = random.Random(28)
+        bundles = [
+            LineBundle(LElement(rng.randint(-5, 5), tuple(rng.randint(-3 * r, 3 * r) for r in rs)))
+            for _ in range(6)
+        ]
+        for i, r in enumerate(rs, start=1):
+            for length in range(1, 3 * r + 2):
+                for top in (rng.randint(-3 * r, -1), rng.randrange(r), rng.randint(r, 3 * r)):
+                    f = TorsionW(i, top, length)
+                    assert is_sphere_like(w, f) == (length == r), f
+                    if length >= r:
+                        message = f"arc of length {length} at a weight-{r} point is not exceptional"
+                        with pytest.raises(NotExceptionalTorsion) as exc:
+                            perp_exceptional_torsion(w, f)
+                        assert str(exc.value) == message
+                    else:
+                        perp_exceptional_torsion(w, f)
+                    for bundle in bundles:
+                        b = bundle.lam.b[i - 1]
+                        hom = sum((j - b) % r == 0 for j in range(top - length + 1, top + 1))
+                        ext1 = sum((j - b) % r == 0 for j in range(top - length, top))
+                        assert hom_ext(w, bundle, f) == (hom, 0), (bundle, f)
+                        assert hom_ext(w, f, bundle) == (0, ext1), (f, bundle)
+        for length in range(1, 5):
+            f = TorsionO("y", length)
+            assert is_sphere_like(w, f) == (length == 1), f
+            for bundle in bundles:
+                assert hom_ext(w, bundle, f) == (length, 0)
+                assert hom_ext(w, f, bundle) == (0, length)
+        assert not any(is_sphere_like(w, bundle) for bundle in bundles)
+
 
 class TestCountBig:
     def test_values(self):
