@@ -66,7 +66,12 @@ class Rep:
             if m and (len(m) != nrows or any(len(r) != ncols for r in m)):
                 raise ValueError(f"matrix for arrow ({u!r},{v!r}) must be {nrows}x{ncols}")
             self.nonzeros.append(
-                [(i, j, x) for i in range(nrows) for j in range(ncols) if (x := exact(m[i][j]))]
+                [
+                    (i, j, x)
+                    for i in range(nrows)
+                    for j, y in enumerate(m[i])
+                    if (x := y if type(y) is int else exact(y))
+                ]
                 if m
                 else []
             )
@@ -93,8 +98,10 @@ class Rep:
         for (u, v), nonzeros in zip(self.quiver.arrows, self.nonzeros):
             ou, ov = offset[u], offset[v]
             for i, j, x in nonzeros:
+                if d > 1:
+                    x = x.numerator * (d // x.denominator)
                 row = t.setdefault(ou + i, {})
-                z = row.get(ov + j, 0) + x.numerator * (d // x.denominator)
+                z = row.get(ov + j, 0) + x
                 if z:
                     row[ov + j] = z
                 else:  # parallel arrows cancel
@@ -140,39 +147,58 @@ def hom_dim(m: Rep, n: Rep) -> int:
 
     Unknowns are the vertex maps phi_v : m-fiber(v) -> n-fiber(v); each
     arrow ``a: u -> v`` contributes the equations
-    ``phi_u . A_m = A_n . phi_v`` where ``A`` is the arrow matrix.  The
-    equation at entry ``(r, c)`` is a sparse ``{unknown: coefficient}``
-    row built from the nonzeros alone: ``A_m[s][c]`` puts ``+A_m[s][c]``
-    on ``phi_u[r][s]`` for every ``r``, and ``A_n[r][s]`` puts
-    ``-A_n[r][s]`` on ``phi_v[s][c]`` for every ``c``.
+    ``phi_u . A_m = A_n . phi_v`` where ``A`` is the arrow matrix, one
+    per entry ``(r, c)`` of an ``n.dims[u] x m.dims[v]`` block, so an
+    arrow whose block is empty, or whose two matrices are zero, adds
+    none.  The equation at entry ``(r, c)`` is a sparse
+    ``{unknown: coefficient}`` row built from the nonzeros alone:
+    ``A_m[s][c]`` puts ``+A_m[s][c]`` on ``phi_u[r][s]`` for every ``r``,
+    and ``A_n[r][s]`` puts ``-A_n[r][s]`` on ``phi_v[s][c]`` for every
+    ``c``; equation keys and unknowns are stepped by addition along
+    ``r`` and ``c``.  On a loop both sides can meet one unknown, and a
+    coefficient that cancels stays in the row as an explicit 0, which
+    :func:`wpcalc.linalg.rank` drops.  The rows go to
+    ``linalg.kernel_dimension`` whenever there are unknowns.
     """
-    if m.quiver != n.quiver:
-        raise QuiverMismatch("hom_dim needs representations over the same quiver")
     q = m.quiver
-    # phi_v has shape (n.dims[v], m.dims[v]), row-major from offset[v]
+    if q is not n.quiver and q != n.quiver:
+        raise QuiverMismatch("hom_dim needs representations over the same quiver")
+    m_dims, n_dims = m.dims, n.dims
+    # phi_v has shape (n_dims[v], m_dims[v]), row-major from offset[v]
     offset = {}
     nvars = 0
     for v in q.vertices:
         offset[v] = nvars
-        nvars += n.dims[v] * m.dims[v]
+        nvars += n_dims[v] * m_dims[v]
     if nvars == 0:
         return 0
     rows = []
-    for k, (u, v) in enumerate(q.arrows):
-        m_nonzeros, n_nonzeros = m.nonzeros[k], n.nonzeros[k]
-        if not (m_nonzeros or n_nonzeros):
+    for (u, v), m_nonzeros, n_nonzeros in zip(q.arrows, m.nonzeros, n.nonzeros):
+        nu, mv = n_dims[u], m_dims[v]
+        if not (nu and mv and (m_nonzeros or n_nonzeros)):
             continue
-        nu, mu, mv = n.dims[u], m.dims[u], m.dims[v]
-        ou, ov = offset[u], offset[v]
+        mu, ou, ov = m_dims[u], offset[u], offset[v]
         eqs = {}  # r * mv + c -> row of the equation at entry (r, c)
         for s, c, coef in m_nonzeros:
-            for r in range(nu):
-                eqs.setdefault(r * mv + c, {})[ou + r * mu + s] = coef
+            key, col = c, ou + s
+            for _ in range(nu):
+                row = eqs.get(key)
+                if row is None:
+                    eqs[key] = {col: coef}
+                else:
+                    row[col] = coef
+                key += mv
+                col += mu
         for r, s, coef in n_nonzeros:
-            for c in range(mv):
-                row = eqs.setdefault(r * mv + c, {})
-                col = ov + s * mv + c
-                row[col] = row.get(col, 0) - coef  # a loop (u == v) can hit a column twice
+            key, col = r * mv, ov + s * mv
+            for _ in range(mv):
+                row = eqs.get(key)
+                if row is None:
+                    eqs[key] = {col: -coef}
+                else:
+                    row[col] = row.get(col, 0) - coef  # a loop (u == v) can hit a column twice
+                key += 1
+                col += 1
         rows += eqs.values()
     return linalg.kernel_dimension(rows, nvars)
 
@@ -207,7 +233,7 @@ def euler_form(q: Quiver, d, e) -> int:
 
 def hom_ext1(m: Rep, n: Rep) -> tuple:
     """(dim Hom(m, n), dim Ext^1(m, n)) from one solve; Ext^1 is hom - euler."""
-    if m.quiver != n.quiver:
+    if m.quiver is not n.quiver and m.quiver != n.quiver:
         raise QuiverMismatch("Ext^1 needs representations over the same quiver")
     hom = hom_dim(m, n)
     defect = hom - _euler(m.quiver, m.dims, n.dims)

@@ -193,6 +193,50 @@ def test_rank_fixed_cases():
     assert linalg.kernel_dimension([{1: 1, 0: -1}, {}], 3) == 2
 
 
+def rank_keeping_inputs(rows) -> int:
+    """``linalg.rank(rows)``, after asserting that every input dict still
+    equals, key order included, a copy taken before the call."""
+    before = [list(r.items()) for r in rows]
+    k = linalg.rank(rows)
+    assert [list(r.items()) for r in rows] == before
+    return k
+
+
+def test_rank_same_dict_twice():
+    # the first occurrence is stored as the pivot itself; the second must
+    # be reduced on a copy, not on the pivot it is reduced against
+    row = {0: 1, 1: 2}
+    assert rank_keeping_inputs([row, row]) == 1
+    content = {0: 2, 1: 4}
+    assert rank_keeping_inputs([content, content, row]) == 1
+
+
+def test_rank_reduces_against_a_stored_clean_row():
+    p = {0: 1, 1: 2}  # content 1: kept as the pivot itself
+    q = {0: 3, 1: 1}  # q - 3p = {1: -5}, a one-entry pivot
+    s = {1: 2, 2: 3}  # scaled by -5, then reduced to the one-entry pivot {2: -15}
+    t = {2: 4}  # scaled and reduced to nothing; in the reverse order all
+    # four are kept as given and each later row is reduced against them
+    assert rank_keeping_inputs([p, q, s, t]) == 3
+    assert rank_keeping_inputs([t, s, q, p]) == 3
+    w = {0: 2, 1: 4}  # content 2: its pivot is divided
+    assert rank_keeping_inputs([w, {0: 1, 1: 3}, {0: 5, 1: 10}]) == 2
+
+
+def test_rank_zeros_and_fractions_after_clean_rows():
+    half = Fraction(1, 2)
+    rows = [
+        {0: 1, 1: 1},
+        {1: 1, 2: 1},
+        {0: 2, 1: 0, 2: 0, 3: 0},  # zeros dropped, then reduced to {2: 2}
+        {0: half, 2: -half},  # (first row - second row) / 2: reduced to nothing
+        {3: Fraction(2, 3), 1: 0},
+    ]
+    dense = [[r.get(c, 0) for c in range(4)] for r in rows]
+    assert rank_keeping_inputs(rows) == fraction_rank_oracle(dense) == 4
+    assert rank_keeping_inputs(rows[:4]) == 3
+
+
 def test_exact_entries():
     assert linalg.exact(Fraction(6, 3)) == 2 and type(linalg.exact(Fraction(6, 3))) is int
     assert linalg.exact(Fraction(1, 2)) == Fraction(1, 2)

@@ -218,6 +218,29 @@ class TestDenseOracle:
             for b in reps:
                 assert nilrep.hom_dim(a, b) == dense_hom_dim_oracle(a, b)
 
+    def test_cancelling_equation_on_a_loop(self, monkeypatch):
+        # [[1, 1], [-1, -1]] squares to zero; the equation at entry (0, 0)
+        # meets unknown 0 from both sides, +1 and -1, so the row handed to
+        # the solve holds an explicit 0
+        x = nilrep.Rep(LOOP, {0: 2}, [[[1, 1], [-1, -1]]])
+        solved = []
+        kernel_dimension = linalg.kernel_dimension
+
+        def recording(rows, ncols):
+            solved.append([dict(r) for r in rows])
+            return kernel_dimension(rows, ncols)
+
+        monkeypatch.setattr(linalg, "kernel_dimension", recording)
+        assert (nilrep.hom_dim(x, x), nilrep.hom_ext1(x, x)) == (2, (2, 2))
+        assert solved[0] == solved[1] and solved[0][0] == {0: 0, 1: -1, 2: -1}
+        assert dense_hom_dim_oracle(x, x) == 2
+        rng = random.Random(29)
+        y = test_serial._base_change(rng, x)
+        assert y.nonzeros != x.nonzeros
+        for a, b in ((x, y), (y, x), (y, y)):
+            assert nilrep.hom_dim(a, b) == dense_hom_dim_oracle(a, b) == 2
+            assert nilrep.hom_ext1(a, b) == (2, 2)
+
 
 def dense_is_nilpotent_oracle(q, dims, mats):
     """Nilpotency of the dense total action on the whole space, with its
