@@ -66,12 +66,7 @@ class Rep:
             if m and (len(m) != nrows or any(len(r) != ncols for r in m)):
                 raise ValueError(f"matrix for arrow ({u!r},{v!r}) must be {nrows}x{ncols}")
             self.nonzeros.append(
-                [
-                    (i, j, x)
-                    for i in range(nrows)
-                    for j, y in enumerate(m[i])
-                    if (x := y if type(y) is int else exact(y))
-                ]
+                [(i, j, x) for i in range(nrows) for j in range(ncols) if (x := exact(m[i][j]))]
                 if m
                 else []
             )
@@ -98,10 +93,8 @@ class Rep:
         for (u, v), nonzeros in zip(self.quiver.arrows, self.nonzeros):
             ou, ov = offset[u], offset[v]
             for i, j, x in nonzeros:
-                if d > 1:
-                    x = x.numerator * (d // x.denominator)
                 row = t.setdefault(ou + i, {})
-                z = row.get(ov + j, 0) + x
+                z = row.get(ov + j, 0) + x.numerator * (d // x.denominator)
                 if z:
                     row[ov + j] = z
                 else:  # parallel arrows cancel
@@ -160,9 +153,9 @@ def hom_dim(m: Rep, n: Rep) -> int:
     :func:`wpcalc.linalg.rank` drops.  The rows go to
     ``linalg.kernel_dimension`` whenever there are unknowns.
     """
-    q = m.quiver
-    if q is not n.quiver and q != n.quiver:
+    if m.quiver != n.quiver:
         raise QuiverMismatch("hom_dim needs representations over the same quiver")
+    q = m.quiver
     m_dims, n_dims = m.dims, n.dims
     # phi_v has shape (n_dims[v], m_dims[v]), row-major from offset[v]
     offset = {}
@@ -182,21 +175,14 @@ def hom_dim(m: Rep, n: Rep) -> int:
         for s, c, coef in m_nonzeros:
             key, col = c, ou + s
             for _ in range(nu):
-                row = eqs.get(key)
-                if row is None:
-                    eqs[key] = {col: coef}
-                else:
-                    row[col] = coef
+                eqs.setdefault(key, {})[col] = coef
                 key += mv
                 col += mu
         for r, s, coef in n_nonzeros:
             key, col = r * mv, ov + s * mv
             for _ in range(mv):
-                row = eqs.get(key)
-                if row is None:
-                    eqs[key] = {col: -coef}
-                else:
-                    row[col] = row.get(col, 0) - coef  # a loop (u == v) can hit a column twice
+                row = eqs.setdefault(key, {})
+                row[col] = row.get(col, 0) - coef  # a loop (u == v) can hit a column twice
                 key += 1
                 col += 1
         rows += eqs.values()
@@ -233,7 +219,7 @@ def euler_form(q: Quiver, d, e) -> int:
 
 def hom_ext1(m: Rep, n: Rep) -> tuple:
     """(dim Hom(m, n), dim Ext^1(m, n)) from one solve; Ext^1 is hom - euler."""
-    if m.quiver is not n.quiver and m.quiver != n.quiver:
+    if m.quiver != n.quiver:
         raise QuiverMismatch("Ext^1 needs representations over the same quiver")
     hom = hom_dim(m, n)
     defect = hom - _euler(m.quiver, m.dims, n.dims)
