@@ -41,10 +41,16 @@ def _read_config(path: str):
     """(weights, ordinary labels) of a JSON weight config file."""
     # ValueError covers bad JSON and bad UTF-8; RecursionError, arrays
     # nested too deeply.  Integers face the digit-run bound of literals,
-    # also where the interpreter has no int/str digit limit
+    # also where the interpreter has no int/str digit limit.  A FIFO or a
+    # device would block or read without end, so only a regular file of
+    # at most 1 MiB is opened
     import json
+    import stat
 
     try:
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode) or info.st_size > 1 << 20:
+            raise ParseError(f"weight config {path!r} is not a regular file of at most 1 MiB")
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, parse_int=lambda t: check_digit_runs(t) or int(t))
     except (OSError, ValueError, RecursionError) as exc:

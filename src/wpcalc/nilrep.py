@@ -13,10 +13,11 @@ are nilpotent: the nilpotent finite-dimensional modules form a Serre
 subcategory of all modules, which is hereditary, so the Euler pairing on
 classes of simples determines the full pairing and Ext^2 vanishes.
 Nilpotency is enforced when a Rep is constructed: the total action,
-held as sparse rows of its nonzero entries, is squared until it
+held as sparse rows of its exact nonzero entries, is squared until it
 vanishes or its exponent reaches the total dimension.  ``hom_ext1``
-takes the Euler term straight from the two reps' ``dims``, with no copy
-and no key check; :func:`euler_form` checks its keys first.
+leaves the quiver check to ``hom_dim`` and takes the Euler term straight
+from the two reps' ``dims``, with no copy and no key check;
+:func:`euler_form` checks its keys first.
 
 A Rep holds each arrow matrix only as the sparse list of its nonzero
 entries; nothing here builds a dense matrix.  Entries are exact
@@ -24,8 +25,6 @@ rationals held as ``int`` wherever they are integral
 (:func:`wpcalc.linalg.exact`), so the reps built from arcs carry int
 entries end to end and no ``Fraction`` arithmetic runs on them.
 """
-
-from math import lcm
 
 from . import linalg
 from .errors import NonNegativityViolation, QuiverMismatch, UnknownVertex
@@ -77,9 +76,8 @@ class Rep:
         """T^n = 0 for the total action T on the n-dimensional total space.
 
         T is kept as sparse rows ``{row: {col: entry}}`` of its nonzero
-        entries, built from :attr:`nonzeros`.  The check runs on d·T, with
-        d the lcm of T's denominators, which is nilpotent exactly when T
-        is; squaring reaches an exponent >= n in about log2(n) products.
+        entries, built from :attr:`nonzeros` and squared on those exact
+        entries; squaring reaches an exponent >= n in about log2(n) products.
         The entries decide, not the support: ``[[1, 1], [-1, -1]]`` on a
         loop is nilpotent although its support has a cycle.
         """
@@ -88,13 +86,12 @@ class Rep:
         for v in self.quiver.vertices:
             offset[v] = n
             n += self.dims[v]
-        d = lcm(*[x.denominator for nonzeros in self.nonzeros for _, _, x in nonzeros])
         t = {}
         for (u, v), nonzeros in zip(self.quiver.arrows, self.nonzeros):
             ou, ov = offset[u], offset[v]
             for i, j, x in nonzeros:
                 row = t.setdefault(ou + i, {})
-                z = row.get(ov + j, 0) + x.numerator * (d // x.denominator)
+                z = row.get(ov + j, 0) + x
                 if z:
                     row[ov + j] = z
                 else:  # parallel arrows cancel
@@ -218,9 +215,8 @@ def euler_form(q: Quiver, d, e) -> int:
 
 
 def hom_ext1(m: Rep, n: Rep) -> tuple:
-    """(dim Hom(m, n), dim Ext^1(m, n)) from one solve; Ext^1 is hom - euler."""
-    if m.quiver != n.quiver:
-        raise QuiverMismatch("Ext^1 needs representations over the same quiver")
+    """(dim Hom(m, n), dim Ext^1(m, n)) from one solve, in which
+    :func:`hom_dim` checks the quivers; Ext^1 is hom - euler."""
     hom = hom_dim(m, n)
     defect = hom - _euler(m.quiver, m.dims, n.dims)
     if defect < 0:

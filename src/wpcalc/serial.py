@@ -233,36 +233,25 @@ def line_quiver(n: int) -> "Quiver":
 def realize(a: Arc):
     """The arc as a concrete nilpotent :class:`wpcalc.nilrep.Rep` (0/1 shift matrices).
 
-    Basis vector e_k (k = 0..length-1) sits at vertex top-k; the total
-    action sends e_k to e_{k+1}.  The matrix of arrow (u, u+1) maps the
-    fiber at u+1 into the fiber at u, per the right-module convention.
-    The matrix oracle is imported here, so the closed-form engine and the
-    CLI do not load it.
+    On the tube of rank n = ``tube_rank``, e_k (k = 0..length-1) is vector
+    k // n of the fiber at residue top-k.  The action sends e_{k-1} to e_k
+    (k >= 1): with u the residue of e_k, arrow (u, u+1), number u minus the
+    first vertex, maps the fiber at u+1 into the fiber at u (right modules)
+    and has a 1 at [k // n][(k - 1) // n].  The matrix oracle is imported
+    here, so the closed-form engine and the CLI do not load it.
     """
     from . import nilrep
 
-    if a.cat.kind == "cycle":
-        n = a.cat.rank
-        q = cycle_quiver(n)
-        vertex_of = [(a.top - k) % n for k in range(a.length)]
-    else:
-        n = a.cat.rank
-        q = line_quiver(n)
-        vertex_of = [a.top - k for k in range(a.length)]
-    fiber = {v: [] for v in q.vertices}
-    for k, v in enumerate(vertex_of):
-        fiber[v].append(k)
-    dims = {v: len(ks) for v, ks in fiber.items()}
-    mats = []
-    for (u, v) in q.arrows:
-        if dims[u] == 0 or dims[v] == 0:
-            mats.append([])
-            continue
-        m = [[0] * dims[v] for _ in range(dims[u])]
-        for col, k in enumerate(fiber[v]):
-            if k + 1 < a.length and vertex_of[k + 1] == u:
-                m[fiber[u].index(k + 1)][col] = 1
-        mats.append(m)
+    n = a.cat.tube_rank
+    q = cycle_quiver(n) if a.cat.kind == "cycle" else line_quiver(a.cat.rank)
+    dims = dict.fromkeys(q.vertices, 0)
+    for k in range(a.length):
+        dims[(a.top - k) % n] += 1
+    mats = [[[0] * dims[v] for _ in range(dims[u])] for u, v in q.arrows]
+    first = q.vertices[0]
+    for k in range(1, a.length):
+        u = (a.top - k) % n
+        mats[u - first][k // n][(k - 1) // n] = 1
     return nilrep.Rep(q, dims, mats)
 
 

@@ -322,6 +322,41 @@ def test_closed_pipe_ends_quietly(argv, first_line, code):
     assert (proc.wait(timeout=60), err) == (code, b"")
 
 
+CONFIG_DOC = b'{"weights": [2, 3]}'
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "oversize"])
+def test_config_must_be_a_small_regular_file(tmp_path, kind):
+    """A config path is refused before it is opened unless it names a
+    regular file of at most 1 MiB: a FIFO would block the read forever
+    and a device such as /dev/zero would read without end."""
+    path = tmp_path / "model.json"
+    if kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "directory":
+        path.mkdir()
+    else:  # valid JSON, one byte over the bound
+        path.write_bytes(CONFIG_DOC + b" " * ((1 << 20) + 1 - len(CONFIG_DOC)))
+    src = str(Path(wpcalc.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wpcalc.cli", "hom", "--config", str(path), "O(0)", "O(0)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"error [ParseError]: weight config {str(path)!r} is not a regular file of at most 1 MiB"
+    ]
+
+
+def test_config_of_exactly_one_mib_is_read(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(CONFIG_DOC + b" " * ((1 << 20) - len(CONFIG_DOC)))
+    assert run(capsys, "count-big", "--config", str(path)) == (0, "30\n", "")
+
+
 def test_digit_bounds_hold_without_an_interpreter_limit():
     """With the interpreter's int/str digit limit switched off, as on
     Python 3.10, long numbers are refused at CPython's default of 4,300."""

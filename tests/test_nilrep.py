@@ -307,6 +307,8 @@ class TestSparseNilpotency:
             (z2, {0: 2, 1: 2}, [c, c_inv], False),
             (z2, {0: 1, 1: 1}, [[[Fraction(2, 3)]], [[Fraction(3, 2)]]], False),
             (LOOP, {0: 2}, [[[Fraction(1, 2), Fraction(1, 4)], [-1, Fraction(-1, 2)]]], True),
+            (TWO_LOOPS, {0: 1}, [[[Fraction(1, 3)]], [[Fraction(-1, 3)]]], True),  # they cancel
+            (TWO_LOOPS, {0: 1}, [[[Fraction(1, 3)]], [[Fraction(1, 6)]]], False),
         ]
         for q, dims, mats, nilpotent in cases:
             assert dense_is_nilpotent_oracle(q, dims, mats) is nilpotent, mats

@@ -263,6 +263,37 @@ def _base_change(rng, rep, scalars=None):
     return nilrep.Rep(rep.quiver, rep.dims, mats)
 
 
+# sha256 over repr((a, r.quiver, sorted(r.dims.items()), r.nonzeros)),
+# r = realize(a), for the arcs of length <= 3n of U(1..6) and every arc of
+# A(0..12), in that order
+REALIZE_DIGEST = "b71afb412cfaff4588ca8f300240bf4925308371a9ae55506456b341d92221a9"
+
+
+class TestRealize:
+    def test_digest(self):
+        cats = [(cycle(n), 3 * n) for n in range(1, 7)] + [(line(n), None) for n in range(13)]
+        h = hashlib.sha256()
+        count = 0
+        for cat, max_length in cats:
+            for a in all_arcs(cat, max_length):
+                r = realize(a)
+                h.update(repr((a, r.quiver, sorted(r.dims.items()), r.nonzeros)).encode())
+                count += 1
+        assert count == 637
+        assert h.hexdigest() == REALIZE_DIGEST
+
+    def test_two_vectors_per_fiber(self):
+        # e_0..e_4 at residues 1, 0, 1, 0, 1 of Z_2
+        r = realize(Arc(cycle(2), 1, 5))
+        assert r.dims == {0: 2, 1: 3}
+        assert r.nonzeros == [[(0, 0, 1), (1, 1, 1)], [(1, 0, 1), (2, 1, 1)]]
+
+    def test_line_arc(self):
+        r = realize(line_arc(4, 2, 4))
+        assert r.dims == {1: 0, 2: 1, 3: 1, 4: 1}
+        assert r.nonzeros == [[], [(0, 0, 1)], [(0, 0, 1)]]
+
+
 class TestClassify:
     # an arc is exceptional when End = k and Ext^1(a, a) = 0, sphere-like
     # when both are k, and neither past the tube rank
