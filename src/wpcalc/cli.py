@@ -29,8 +29,6 @@ MAX_OUTPUT_OBJECTS = 10**5
 
 
 def _weights_arg(text: str, flag: str = "--weights"):
-    if not text:
-        return []
     try:
         return [int(t) for t in text.split(",") if t != ""]
     except ValueError as exc:
@@ -68,9 +66,9 @@ def _read_config(path: str):
 
 
 def _model(args) -> wpl.WplData:
-    weights = _weights_arg(args.weights or "")
-    ordinary = [t for t in (args.ordinary or "").split(",") if t.strip()]
-    if getattr(args, "config", None):
+    weights = _weights_arg(args.weights)
+    ordinary = [t for t in args.ordinary.split(",") if t.strip()]
+    if args.config:
         file_weights, file_ordinary = _read_config(args.config)
         if not args.weights:
             weights = file_weights

@@ -50,10 +50,6 @@ class BoundExceeded(InputError):
     pass
 
 
-class WeightMismatch(InputError):
-    pass
-
-
 class ModelMismatch(InputError):
     pass
 

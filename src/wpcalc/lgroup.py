@@ -10,7 +10,7 @@ weight tuple is allowed (L = Z*c, ordinary projective line).
 import re
 from typing import NamedTuple
 
-from .errors import ParseError, WeightMismatch, check_digit_runs
+from .errors import ModelMismatch, ParseError, UnknownPoint, check_digit_runs
 
 
 class _WeightsFields(NamedTuple):
@@ -38,14 +38,14 @@ class LElement(NamedTuple):
 
 def _check(w: Weights, u: LElement):
     if len(u.b) != w.p:
-        raise WeightMismatch(f"element has {len(u.b)} torsion coefficients, weights have {w.p}")
+        raise ModelMismatch(f"element has {len(u.b)} torsion coefficients, weights have {w.p}")
 
 
 def normalize(w: Weights, raw_a: int, raw_b) -> LElement:
     """Unique normal form of raw_a*c + sum raw_b_i*x_i (carry into c)."""
     raw_b = list(raw_b)
     if len(raw_b) != w.p:
-        raise WeightMismatch(f"expected {w.p} coefficients, got {len(raw_b)}")
+        raise ModelMismatch(f"expected {w.p} coefficients, got {len(raw_b)}")
     a = int(raw_a)
     b = []
     for coef, r in zip(raw_b, w.r):
@@ -66,7 +66,7 @@ def cbar(w: Weights) -> LElement:
 def xbar(w: Weights, i: int) -> LElement:
     """Generator x_i, 1-based index."""
     if not 1 <= i <= w.p:
-        raise WeightMismatch(f"no weighted point with index {i}")
+        raise UnknownPoint(f"no weighted point x{i}")
     return normalize(w, 0, [1 if k == i - 1 else 0 for k in range(w.p)])
 
 

@@ -11,56 +11,27 @@ one; tau^n = id on a rank-n tube.
 A_n is U_{n+1} without residue 0: the Serre subcategory of the modules
 with no composition factor there, the arc (j, l) of A_n being the arc of
 U_{n+1} with the same top and length.  So Hom and Ext^1 between arcs are
-one tube count, ``cycle_dims(n, shift, lx, ly)``, on the tube of rank
-``SerialCat.tube_rank``: Hom counts the landing positions of the top
-basis vector, and Ext^1 is Serre-dual to a Hom.  The sheaf model's
-torsion pairs share the count.  Arcs are listed and cut the same way:
-``all_arcs`` lists the arcs of U_{n+1} with no factor at residue 0, and
-``perp_arc`` cuts U_{n+1} and drops the perpendicular's block at
-residue 0; intervals appear only in literals.  The matrix oracle,
-:mod:`wpcalc.nilrep` via :func:`realize`, builds a line arc on the
-quiver A_n itself, so it checks this reading rather than repeating it.
+one tube count, :func:`cycle_dims` on ``SerialCat.tube_rank``, for both
+kinds, and the sheaf model's torsion pairs share it; ``all_arcs`` and
+``perp_arc`` list and cut arcs on that tube too, and intervals appear
+only in literals.  The matrix oracle, :mod:`wpcalc.nilrep` via
+:func:`realize`, builds a line arc on the quiver A_n itself, so it
+checks this reading rather than repeating it.
 
 Thick subcategories are enumerated as joins of one-arc closures.  Every
 thick subcategory here is admissible, so it is the join of the
 subcategories its member arcs generate, and its right orthogonal
-determines it (double orthogonality).  Arcs of length <= rank are bits
-of Python ints, and Hom/Ext-orthogonal and subarc sets are masks.  The
-right orthogonal of a join is the AND of the members' right masks.  The
-walk starts from the zero subcategory's right orthogonal (every arc) and
-ANDs each state only with the right masks of its own set bits, the arcs
-g in T^perp, which joins T with g; the states it reaches are the right
-orthogonals, one per subcategory.  ``count_thick`` walks nothing: it
-returns the closed forms, which the tests check against the number of
-states.  The states are also the member masks: T^perp is thick, and
-every thick S is the right orthogonal of its left orthogonal.  So
-enumeration reads the signatures off the states, computes each state's
-relative simples once, and looks up a subcategory's left generators as
-the relative simples of the state that is its left orthogonal.  Bit
-order is ``Arc`` order, so a mask lists its arcs sorted, and masks sort
-like descriptors.
-
-The masks come from one zero table per category: entry (g, y) says
-whether Hom(g, y) and Ext^1(g, y) both vanish.  Its rows are the arcs'
-right masks, which the walk reads; its columns are the left masks, which
-closures read.  A row is one call of ``cycle_zero_row``, which reads
-the zero set of ``cycle_dims`` off two residues per entry and calls no
-``dims``.  On a line the index computes one row per arc; on a rank-n
-tube, tau^-1 moves every bit by n, so only the n arcs at top 0 get a
-row computed and the other rows are rotations.  The columns come from
-Serre duality: Hom(x, y) and Ext^1(x, y) are dual to Ext^1(tau^-1 y, x)
-and Hom(tau^-1 y, x), so the left mask of y is the right mask of
-tau^-1 y, the row of the arc one top higher.  Only the n arcs at the top
-of A_n need a row more: one top higher they are arcs of U_{n+1} outside
-A_n.  Enumeration and ``thick_closure`` both read this one table.  The
-index itself is arithmetic: bit(t, l) is t*n + l - 1 on U_n and
-t(t-1)/2 + l - 1 on A_n.  Descriptors are built
-eagerly.  Their block structure reads one per-bit mask, the blocks
-directly below each block: one factor walk down it finds the chains and
-the cycle.  ``Arc`` values are made only for their output tuples.  An
-intern table on the index, keyed by the mask of a factor's blocks, makes
-each distinct chain or cycle factor once per enumeration or closure, and
-every descriptor that contains it shares it; no table outlives the call.
+determines it (double orthogonality).  That is why sets of arcs are
+masks: arcs of length <= rank are the bits of a Python int, the right
+orthogonal of a join is the AND of its members' right masks, and the
+thick subcategories are the states of a walk of ANDs.  The masks come
+from one zero table per category, :class:`_ArcIndex`, whose rows
+:func:`cycle_zero_row` reads off residues; :func:`enumerate_thick` walks
+the states, and :func:`_block_structure` reads each subcategory's
+factors off one adjacency mask.  ``count_thick`` walks nothing: it
+returns the closed forms, which the tests check against the walk.  Each
+enumeration or closure builds its own index, so no table outlives the
+call.
 """
 
 import re

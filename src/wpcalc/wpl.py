@@ -9,34 +9,11 @@ the top of O(lam) at x_i the simple S_{i, b_i(lam)}.
 
 Ext^1 is Serre-dual to a Hom: ``Ext^1(f, g) = Hom(g, tau f)``, with tau
 the shift by omega on bundles and the tube translate on torsion.
-``hom_ext`` reads both numbers off integers, one branch per kind of
-pair, and builds no tau f, arc or grading (no lgroup call).  It finds
-the branch by the identity of ``type(f)`` and ``type(g)``: ``_validate``
-dispatches the same way and returns an instance of exactly one of the
-three kinds, re-reading a subclass instance as the kind it derives
-from.  Fields are read by unpacking the tuples, and each answer is built
-by ``tuple.__new__(HomExt, ...)``, which skips the NamedTuple's
-Python-level ``__new__``.  Torsion at two distinct points has neither
-Homs nor Exts; the other kinds are:
-
-* O(lam) to O(mu): with ``l = mu.a - lam.a + sum((mu.b_i - lam.b_i) // r_i)``,
-  the c-coefficient of the normal form of mu - lam, Hom is ``l+1`` if
-  ``l >= 0`` and Ext^1 is ``-l-1`` if ``l <= -2``.  Floor division does
-  the carry, so this is exact on raw (uncarried) gradings too, and
-  ``(x + r - 1) // r == -(-x // r)`` makes the l of Hom(O(mu), O(lam+omega))
-  exactly ``-l-2``;
-* line bundle to torsion: Hom is the number of the arc's composition
-  factors that are the top of the bundle, i.e. factors S_{i,j} with
-  ``j = b_i(lam) mod r_i`` (every factor at an ordinary point).  With
-  ``s = top - b_i`` that is ``s // r_i - (s - length) // r_i``, a
-  difference of two floor quotients as in ``cycle_dims``;
-* torsion to line bundle: Ext^1 is the same count against the arc tau f,
-  whose top is one lower, so ``s = top - 1 - b_i``;
-* torsion to torsion at a common point: tube arithmetic, one
-  :func:`wpcalc.serial.cycle_dims` call for Hom and Ext^1 together.
-
-``tau_sheaf`` shifts a bundle by ``lgroup.omega`` and lowers a torsion
-top by one; its answers are normal forms.
+``hom_ext`` reads both numbers off integers, one closed form per kind
+of pair, and builds no tau f, arc or grading (no lgroup call); its
+docstring lists the forms, and ``_validate`` says how a class's kind is
+found.  ``tau_sheaf`` shifts a bundle by ``lgroup.omega`` and lowers a
+torsion top by one; its answers are normal forms.
 
 The twist sigma at a point adds the point's generator to line-bundle
 gradings and acts as tau^{-1} on torsion at that point; its w(x)-th
@@ -196,7 +173,30 @@ def tau_sheaf(w: WplData, f: SheafClass) -> SheafClass:
 
 
 def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
-    """(dim Hom(f, g), dim Ext^1(f, g)), read off integers by the kinds of the pair."""
+    """(dim Hom(f, g), dim Ext^1(f, g)), read off integers by the kinds of the pair.
+
+    The kinds are ``type(f)`` and ``type(g)``, compared by identity after
+    ``_validate``.  Fields are read by unpacking the tuples, and each
+    answer is built by ``tuple.__new__(HomExt, ...)``, which skips the
+    NamedTuple's Python-level ``__new__``.  Torsion at two distinct points
+    has neither Homs nor Exts; the other kinds are:
+
+    * O(lam) to O(mu): with ``l = mu.a - lam.a + sum((mu.b_i - lam.b_i) // r_i)``,
+      the c-coefficient of the normal form of mu - lam, Hom is ``l+1`` if
+      ``l >= 0`` and Ext^1 is ``-l-1`` if ``l <= -2``.  Floor division does
+      the carry, so this is exact on raw (uncarried) gradings too, and
+      ``(x + r - 1) // r == -(-x // r)`` makes the l of Hom(O(mu), O(lam+omega))
+      exactly ``-l-2``;
+    * line bundle to torsion: Hom is the number of the arc's composition
+      factors that are the top of the bundle, i.e. factors S_{i,j} with
+      ``j = b_i(lam) mod r_i`` (every factor at an ordinary point).  With
+      ``s = top - b_i`` that is ``s // r_i - (s - length) // r_i``, a
+      difference of two floor quotients as in ``cycle_dims``;
+    * torsion to line bundle: Ext^1 is the same count against the arc tau f,
+      whose top is one lower, so ``s = top - 1 - b_i``;
+    * torsion to torsion at a common point: tube arithmetic, one
+      :func:`wpcalc.serial.cycle_dims` call for Hom and Ext^1 together.
+    """
     f = _validate(w, f)
     g = _validate(w, g)
     kf, kg = type(f), type(g)
@@ -234,29 +234,32 @@ def euler(w: WplData, f: SheafClass, g: SheafClass) -> int:
 
 
 def _resolve_point(w: WplData, point):
-    """A point is a weighted index (int or 'x<i>') or an ordinary label."""
+    """A point is a weighted index (int or 'x<i>') or an ordinary label.
+
+    Returns the index i of x_i as an int, or the ordinary label as a str.
+    """
     if not isinstance(point, int):
         label = str(point).strip()
         check_digit_runs(label)
         m = _POINT_X.fullmatch(label)
         if not m:
             if label in w.ordinary:
-                return ("o", label)
+                return label
             raise UnknownPoint(f"unknown point {point!r}")
         point = int(m.group(1))
     w.weight_of(point)  # raises on an index out of range
-    return ("w", point)
+    return point
 
 
 def sigma_twist(w: WplData, point, f: SheafClass) -> SheafClass:
     """One twist step at a point: grading +x_i (or +c at an ordinary point)
     on bundles, tau^{-1} on torsion at the same point, identity elsewhere."""
-    kind, key = _resolve_point(w, point)
+    point = _resolve_point(w, point)
     f = _validate(w, f)
     if isinstance(f, LineBundle):
-        step = lgroup.xbar(w.weights, key) if kind == "w" else lgroup.cbar(w.weights)
+        step = lgroup.cbar(w.weights) if type(point) is str else lgroup.xbar(w.weights, point)
         return LineBundle(lgroup.add(w.weights, f.lam, step))
-    if kind == "w" and isinstance(f, TorsionW) and f.i == key:
+    if isinstance(f, TorsionW) and f.i == point:  # an ordinary label is no index
         return _validate(w, TorsionW(f.i, f.top + 1, f.length))
     return f
 
@@ -279,10 +282,10 @@ def top_m(w: WplData, point, lam: LElement, m: int) -> SheafClass:
     if m < 1:
         raise ModelMismatch("top_m needs m >= 1")
     _validate(w, LineBundle(lam))
-    kind, key = _resolve_point(w, point)
-    if kind == "w":
-        return _validate(w, TorsionW(key, lam.b[key - 1], m))
-    return TorsionO(key, m)
+    point = _resolve_point(w, point)
+    if type(point) is str:
+        return TorsionO(point, m)
+    return _validate(w, TorsionW(point, lam.b[point - 1], m))
 
 
 # -- families ------------------------------------------------------------------
@@ -370,17 +373,14 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
     e = _validate(w, e)
     if not isinstance(e, TorsionW):
         raise NotExceptionalTorsion("perpendicular reduction needs weighted torsion")
-    r, m = w.weights.r[e.i - 1], e.length
+    rs = w.weights.r
+    r, m = rs[e.i - 1], e.length
     if m >= r:
         raise NotExceptionalTorsion(
             f"arc of length {m} at a weight-{r} point is not exceptional"
         )
-    new_r = list(w.weights.r)
     dropped = r - m == 1
-    if dropped:
-        del new_r[e.i - 1]
-    else:
-        new_r[e.i - 1] = r - m
+    new_r = rs[: e.i - 1] + (() if dropped else (r - m,)) + rs[e.i :]
     tube, chain = perp_arc(Arc(cycle(r), e.top, m)).factors
 
     def classes(arcs):

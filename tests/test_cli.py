@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpcalc
-from wpcalc import cli, serial
+from wpcalc import cli, serial, wpl
 from wpcalc.cli import MAX_OUTPUT_OBJECTS, main
+from wpcalc.errors import NonNegativityViolation
 
 ONES = "1" * 5000  # past the default int/str conversion limit of 4300 digits
 NINES = "9" * 4300  # convertible, but one addition away from the limit
@@ -587,6 +588,24 @@ class TestErrors:
             code, out, err = run(capsys, "twist", "c", "x1", literal, "--weights", "2,3")
             assert code == 2 and out == ""
             assert len(err.strip().splitlines()) == 1 and "ParseError" in err
+
+    def test_internal_error_exit_1(self, capsys, monkeypatch):
+        # the README's contract for a broken invariant: exit 1 with one
+        # stderr line, or one JSON error document on stdout under --json
+        def broken(*args):
+            raise NonNegativityViolation("negative dimension -1")
+
+        monkeypatch.setattr(wpl, "hom_ext", broken)
+        argv = ["hom", "--weights", "2,3", "O(0)", "O(c)"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error [NonNegativityViolation]: negative dimension -1"]
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        assert len(out.splitlines()) == 1
+        assert json.loads(out) == {
+            "error": {"code": "NonNegativityViolation", "message": "negative dimension -1"}
+        }
 
     def test_no_traceback_in_text_mode(self, capsys):
         code, out, err = run(capsys, "hom", "--weights", "2", "O(xx)", "O(0)")

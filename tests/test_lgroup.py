@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpcalc import lgroup
-from wpcalc.errors import ParseError, WeightMismatch
+from wpcalc import errors, lgroup, wpl
+from wpcalc.errors import ModelMismatch, ParseError, UnknownPoint
 from wpcalc.lgroup import (
     LElement,
     Weights,
@@ -50,7 +50,7 @@ class TestNormalize:
         assert normalize(W3, 0, [5]) == LElement(1, (2,))
 
     def test_length_mismatch(self):
-        with pytest.raises(WeightMismatch):
+        with pytest.raises(ModelMismatch):
             normalize(W3, 0, [1, 2])
 
     def test_idempotent(self):
@@ -76,13 +76,64 @@ class TestGroupOps:
         assert add(W4, u, neg(W4, u)) == zero(W4)
 
     def test_weight_mismatch(self):
-        with pytest.raises(WeightMismatch):
+        with pytest.raises(ModelMismatch):
             add(W3, zero(W3), zero(W4))
 
     def test_xbar_index_out_of_range(self):
         for i in (0, 2):
-            with pytest.raises(WeightMismatch):
+            with pytest.raises(UnknownPoint):
                 xbar(W3, i)
+
+
+class TestOneErrorPerFault:
+    """lgroup reports a fault under the type the sheaf model gives it."""
+
+    @pytest.mark.parametrize("b", [(0,), (0, 0, 0)], ids=["short", "long"])
+    def test_wrong_coordinate_count_is_a_model_mismatch(self, b):
+        w = Weights([2, 3])
+        u = LElement(0, b)
+        for call in (
+            lambda: normalize(w, 0, list(b)),
+            lambda: add(w, u, zero(w)),
+            lambda: add(w, zero(w), u),
+            lambda: scale(w, 2, u),
+        ):
+            with pytest.raises(ModelMismatch):
+                call()
+        model = wpl.WplData(w)
+        with pytest.raises(ModelMismatch):
+            wpl.hom_ext(model, wpl.LineBundle(u), wpl.LineBundle(zero(w)))
+
+    @pytest.mark.parametrize("w", [W0, W3, Weights([2, 3, 5])], ids=lambda w: str(w.r))
+    def test_missing_weighted_point_is_an_unknown_point(self, w):
+        model = wpl.WplData(w)
+        for i in (0, w.p + 1):
+            with pytest.raises(UnknownPoint) as from_lgroup:
+                xbar(w, i)
+            with pytest.raises(UnknownPoint) as from_model:
+                model.weight_of(i)
+            assert str(from_lgroup.value) == str(from_model.value) == f"no weighted point x{i}"
+
+    def test_input_error_types(self):
+        # lgroup has no error type of its own
+        types = {
+            name
+            for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.InputError)
+        }
+        assert types == {
+            "InputError",
+            "ParseError",
+            "UnknownVertex",
+            "QuiverMismatch",
+            "CategoryMismatch",
+            "InvalidArc",
+            "BoundExceeded",
+            "ModelMismatch",
+            "UnknownPoint",
+            "NotVertexLike",
+            "NotExceptionalTorsion",
+        }
 
 
 class TestOmega:
