@@ -108,19 +108,19 @@ def _cmd_hom(args):
     f = wpl.parse_sheaf(w, args.f)
     g = wpl.parse_sheaf(w, args.g)
     he = wpl.hom_ext(w, f, g)
-    _emit(args, {"hom": he.hom, "ext1": he.ext1}, f"hom={he.hom} ext1={he.ext1}")
+    return {"hom": he.hom, "ext1": he.ext1}, f"hom={he.hom} ext1={he.ext1}"
 
 
 def _cmd_euler(args):
     w = _model(args)
     val = wpl.euler(w, wpl.parse_sheaf(w, args.f), wpl.parse_sheaf(w, args.g))
-    _emit(args, {"euler": val}, str(val))
+    return {"euler": val}, str(val)
 
 
 def _cmd_tau(args):
     w = _model(args)
     out = wpl.tau_sheaf(w, wpl.parse_sheaf(w, args.f))
-    _emit(args, {"class": str(out)}, str(out))
+    return {"class": str(out)}, str(out)
 
 
 def _cmd_twist(args):
@@ -128,14 +128,14 @@ def _cmd_twist(args):
     f = wpl.parse_sheaf(w, args.f)
     op = wpl.sigma_twist if args.functor == "sigma" else wpl.c_twist
     out = op(w, args.point, f)
-    _emit(args, {"class": str(out)}, str(out))
+    return {"class": str(out)}, str(out)
 
 
 def _cmd_top(args):
     w = _model(args)
     lam = lgroup.parse_element(w.weights, args.element)
     out = wpl.top_m(w, args.point, lam, args.m)
-    _emit(args, {"class": str(out)}, str(out))
+    return {"class": str(out)}, str(out)
 
 
 def _cmd_extquiver(args):
@@ -143,7 +143,7 @@ def _cmd_extquiver(args):
 
     w = _model(args)
     q = wpl.ext_quiver_of(w, [wpl.parse_sheaf(w, t) for t in args.objects])
-    _emit(args, quiver_to_json_dict(q), quiver_to_text(q).rstrip("\n"))
+    return quiver_to_json_dict(q), quiver_to_text(q).rstrip("\n")
 
 
 def _cmd_check(args):
@@ -153,7 +153,7 @@ def _cmd_check(args):
         ok = wpl.is_exceptional_sequence(w, family)
     else:
         ok = wpl.is_vertex_like(w, family)
-    _emit(args, {args.property: ok}, "true" if ok else "false")
+    return {args.property: ok}, "true" if ok else "false"
 
 
 def _factor_payload(emb: serial.Embedding) -> list:
@@ -177,8 +177,7 @@ def _cmd_perp(args):
             f"{f['kind']}({f['rank']}): " + (", ".join(f["simples"]) or "-")
             for f in factors
         )
-        _emit(args, {"ambient": str(emb.ambient), "factors": factors}, text)
-        return
+        return {"ambient": str(emb.ambient), "factors": factors}, text
     w = _model(args)
     e = wpl.parse_sheaf(w, args.target)
     if isinstance(e, wpl.TorsionW):
@@ -194,7 +193,7 @@ def _cmd_perp(args):
         f"weights={','.join(map(str, res.new_weights.r)) or '-'}"
         f" line_factor={','.join(payload['line_factor']) or '-'}"
     )
-    _emit(args, payload, text)
+    return payload, text
 
 
 def _enumerate_payload(descs) -> list:
@@ -216,8 +215,7 @@ def _cmd_enumerate(args, kind):
     cat = serial.cycle(args.rank) if kind == "cycle" else serial.line(args.rank)
     n = serial.count_thick(cat)
     if args.count:
-        _emit(args, {"category": str(cat), "count": n}, str(n))
-        return
+        return {"category": str(cat), "count": n}, str(n)
     _bound_output(n)  # the listing has one entry per subcategory; --count lists none
     payload = {
         "category": str(cat),
@@ -231,7 +229,7 @@ def _cmd_enumerate(args, kind):
             f"A{k}" for k in entry["line_lengths"]
         )
         lines.append(f"sig={sig} shape={shape or 'zero'}")
-    _emit(args, payload, "\n".join(lines))
+    return payload, "\n".join(lines)
 
 
 def _cmd_count_big(args):
@@ -246,8 +244,7 @@ def _cmd_count_big(args):
     if 1000 * sum(r - 1 for r in w.weights.r) < 3322 * limit:
         n = wpl.count_big(w)
         if n < 10**limit:
-            _emit(args, {"count": n}, str(n))
-            return
+            return {"count": n}, str(n)
     raise BoundExceeded(f"count-big has more than {limit} decimal digits")
 
 
@@ -263,14 +260,14 @@ def _cmd_classify(args):
     if res.quiver is not None:
         payload["quiver"] = quiver_to_json_dict(res.quiver)
         text += "\n" + quiver_to_text(res.quiver).rstrip("\n")
-    _emit(args, payload, text)
+    return payload, text
 
 
 def _cmd_canonical(args):
     w = _model(args)
     _bound_output(2 + sum(r - 1 for r in w.weights.r))
     labels = [str(f) for f in wpl.canonical_collection(w)]
-    _emit(args, {"objects": labels}, " ".join(labels))
+    return {"objects": labels}, " ".join(labels)
 
 
 def _cmd_star(args):
@@ -279,7 +276,7 @@ def _cmd_star(args):
     _bound_output(2 + 2 * sum(max(b, 0) for b in tops))  # bundles and dual family
     bundles, dual = ([str(f) for f in family] for family in wpl.star_collection(w, tops))
     payload = {"line_bundles": bundles, "dual_family": dual}
-    _emit(args, payload, "line_bundles: " + " ".join(bundles) + "\ndual_family: " + " ".join(dual))
+    return payload, "line_bundles: " + " ".join(bundles) + "\ndual_family: " + " ".join(dual)
 
 
 def _arg(*names, **kwargs):
@@ -294,7 +291,8 @@ _ENUMERATE = [
     _arg("--count", action="store_true", help="print only the count"),
 ]
 
-# name -> (handler, help, takes the model flags, further arguments)
+# name -> (handler, help, takes the model flags, further arguments); a handler
+# returns the (document, text) pair that `_emit` prints
 COMMANDS = {
     "hom": (_cmd_hom, "Hom and Ext^1 dimensions between two classes", True, _CLASS_PAIR),
     "euler": (_cmd_euler, "Euler pairing hom - ext1", True, _CLASS_PAIR),
@@ -385,7 +383,7 @@ def main(argv=None) -> int:
     code = 0
     try:
         try:
-            args.fn(args)
+            _emit(args, *args.fn(args))
         except InputError as exc:
             code = 2
             _report_error(args, exc)

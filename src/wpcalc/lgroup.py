@@ -21,7 +21,14 @@ class Weights(_WeightsFields):
     __slots__ = ()
 
     def __new__(cls, r):
-        rr = tuple(int(x) for x in r)
+        # int() reads digit strings, but would truncate 2.5 to a weight 2
+        r = tuple(r)
+        try:
+            rr = tuple(int(x) for x in r)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"weights must be integers, got {r!r}") from exc
+        if any(n != x and not isinstance(x, str) for n, x in zip(rr, r)):
+            raise ParseError(f"weights must be integers, got {r!r}")
         if any(x < 2 for x in rr):
             raise ParseError(f"weights must all be >= 2, got {rr}")
         return tuple.__new__(cls, (rr,))

@@ -61,6 +61,8 @@ class SerialCat(_SerialCatFields):
     def __new__(cls, kind, rank):
         if kind not in ("line", "cycle"):
             raise InvalidArc(f"unknown serial kind {kind!r}")
+        if type(rank) is not int:
+            raise InvalidArc(f"{kind} rank must be an integer, got {rank!r}")
         if kind == "line" and rank < 0:
             raise InvalidArc("line rank must be >= 0")
         if kind == "cycle" and rank < 1:

@@ -775,6 +775,40 @@ def test_help_lists_every_command():
         assert f"    {name}" in out and help_text in out
 
 
+VALID_ARGV = {
+    "hom": ["--weights", "2,3", "O(0)", "S(2,1)[2]"],
+    "euler": ["--weights", "2,3", "O(0)", "O(c)"],
+    "tau": ["--weights", "2,3", "O(x1)"],
+    "twist": ["sigma", "x1", "O(0)", "--weights", "2,3"],
+    "top": ["x1", "2x1", "1", "--weights", "3,3"],
+    "extquiver": ["--weights", "2,3", "S(1,0)", "O(x1)"],
+    "check": ["exceptional", "--weights", "2,3", "O(0)", "O(c)"],
+    "perp": ["U(3):arc(0,1)"],
+    "tube": ["enumerate", "2"],
+    "line": ["enumerate", "3", "--count"],
+    "count-big": ["--weights", "2,3"],
+    "classify": ["--weights", "2,3", "S(1,0)", "O(x1)"],
+    "canonical": ["--weights", "2,3"],
+    "star": ["--weights", "3,3", "--tops", "1,1"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_handler_returns_what_main_prints(name, capsys):
+    """Every handler returns its (document, text) pair and prints nothing;
+    ``main`` prints the text, or under ``--json`` the document with sorted
+    keys."""
+    argv = [name, *VALID_ARGV[name]]
+    args = cli.build_parser(name).parse_args(argv)
+    result = args.fn(args)
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(result, tuple) and len(result) == 2
+    doc, text = result
+    assert isinstance(doc, dict) and isinstance(text, str)
+    assert run(capsys, *argv) == (0, text + "\n", "")
+    assert run(capsys, *argv, "--json") == (0, json.dumps(doc, sort_keys=True) + "\n", "")
+
+
 def test_readme_layout_names_exist():
     """Every backticked name in README's "Library layout" table exists in
     the module of its row."""

@@ -136,6 +136,22 @@ class TestOneErrorPerFault:
         }
 
 
+class TestWeights:
+    @pytest.mark.parametrize("r", [[2.5, 3], ["2.5"], [3, None], ["x"]], ids=repr)
+    def test_non_integer_weights_are_a_parse_error(self, r):
+        # int() alone would read 2.5 as a weight 2, and "2.5" as a bare ValueError
+        with pytest.raises(ParseError, match="weights must be integers"):
+            Weights(r)
+
+    def test_no_curve_for_a_fractional_weight(self):
+        with pytest.raises(ParseError):
+            wpl.count_big(wpl.WplData([2.5, 3]))
+
+    def test_integer_strings_and_integral_numbers_are_read(self):
+        assert Weights(("2", 3)) == Weights([2.0, " 3 "]) == Weights(iter([2, 3]))
+        assert Weights(("2", 3)).r == (2, 3)
+
+
 class TestOmega:
     def test_2222(self):
         assert omega(W4) == LElement(-2, (1, 1, 1, 1))

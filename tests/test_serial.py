@@ -144,6 +144,13 @@ class TestValueTypes:
         with pytest.raises(InvalidArc):
             build()
 
+    @pytest.mark.parametrize("rank", [2.5, 2.0, "3", None], ids=repr)
+    @pytest.mark.parametrize("kind", ["cycle", "line"])
+    def test_non_integer_rank_is_refused(self, kind, rank):
+        # U(2.5) is no category, and would print as U(2)
+        with pytest.raises(InvalidArc, match="rank must be an integer"):
+            SerialCat(kind, rank)
+
     @pytest.mark.parametrize("text", ["U(0):arc(0,1)", "U(3):arc(0,0)", "A(2):arc(2,3)", "A(3):arc(3,1)"])
     def test_bad_literals(self, text):
         with pytest.raises(ParseError):
