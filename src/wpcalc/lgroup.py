@@ -53,10 +53,16 @@ def normalize(w: Weights, raw_a: int, raw_b) -> LElement:
     raw_b = list(raw_b)
     if len(raw_b) != w.p:
         raise ModelMismatch(f"expected {w.p} coefficients, got {len(raw_b)}")
+    # int() would truncate 2.5 to 2, so a coefficient must survive it unchanged
     a = int(raw_a)
+    if a != raw_a:
+        raise ParseError(f"coefficients must be integers, got {raw_a!r}")
     b = []
     for coef, r in zip(raw_b, w.r):
-        carry, rem = divmod(int(coef), r)
+        c = int(coef)
+        if c != coef:
+            raise ParseError(f"coefficients must be integers, got {coef!r}")
+        carry, rem = divmod(c, r)
         a += carry
         b.append(rem)
     return LElement(a, tuple(b))

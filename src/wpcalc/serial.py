@@ -27,15 +27,17 @@ orthogonal of a join is the AND of its members' right masks, and the
 thick subcategories are the states of a walk of ANDs.  The masks come
 from one zero table per category, :class:`_ArcIndex`, whose rows
 :func:`cycle_zero_row` reads off residues; :func:`enumerate_thick` walks
-the states, and :func:`_block_structure` reads each subcategory's
-factors off one adjacency mask.  ``count_thick`` walks nothing: it
-returns the closed forms, which the tests check against the walk.  Each
-enumeration or closure builds its own index, so no table outlives the
-call.
+the states, the walk's one loop over a state's bits also reads off its
+relative simples and their mask, and :func:`_block_structure` reads the
+subcategory's factors off those and one adjacency mask.  ``count_thick``
+walks nothing: it returns the closed forms, which the tests check
+against the walk.  Each enumeration or closure builds its own index, so
+no table outlives the call.
 """
 
 import re
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -99,6 +101,8 @@ class Arc(_ArcFields):
     __slots__ = ()
 
     def __new__(cls, cat, top, length):
+        if type(top) is not int or type(length) is not int:
+            raise InvalidArc(f"arc top and length must be integers, got {top!r}, {length!r}")
         if length < 1:
             raise InvalidArc("arc length must be >= 1")
         if cat.kind == "cycle":
@@ -125,6 +129,8 @@ class Arc(_ArcFields):
 
 def line_arc(n: int, i: int, j: int) -> Arc:
     """The interval module on vertices i..j of A_n (i <= j)."""
+    if type(i) is not int or type(j) is not int:
+        raise InvalidArc(f"interval ends must be integers, got {i!r}, {j!r}")
     if i > j:
         raise InvalidArc(f"empty interval [{i},{j}]")
     return Arc(line(n), j, j - i + 1)
@@ -309,11 +315,13 @@ def all_arcs(cat: SerialCat, max_length=None):
     """Every arc of length <= max_length (default: the rank), in ``Arc`` order.
 
     These are the arcs of the category's tube, with no factor at residue
-    0 on a line: an arc (t, l) of A_n has l <= t.
+    0 on a line: an arc (t, l) of A_n has l <= t.  Each pair is a valid
+    arc by construction, so none is checked again.
     """
     cap = cat.rank if max_length is None else max_length
+    new = tuple.__new__
     return [
-        Arc(cat, t, l)
+        new(Arc, (cat, t, l))
         for t in range(cat.tube_rank)
         for l in range(1, 1 + (cap if cat.kind == "cycle" else min(cap, t)))
     ]
@@ -368,8 +376,9 @@ class _ArcIndex:
             # top t-l directly below it
             self.sub.append(sum(1 << first[t - l + j] + j - 1 for j in range(1, l)))
             self.below.append((1 << height[t - l]) - 1 << first[t - l])
-        self.lines = [line(m) for m in range(cat.rank + 1)]
-        self.cycles = [cycle(m) for m in range(1, cat.rank + 1)]
+        # a line category has no cycle factor
+        self.lines = [line(m) for m in range(n + 1)]
+        self.cycles = [cycle(m) for m in range(1, n + 1)] if cat.kind == "cycle" else []
         # (sort key, factor) by the mask of the factor's blocks; a chain's
         # blocks never close up into a cycle, so one table holds both kinds
         self.factors = {}
@@ -395,13 +404,10 @@ class _ArcIndex:
         """Mask of the arcs right-orthogonal to g, an arc of any length."""
         return cycle_zero_row(self.cat.tube_rank, g.top, g.length, self.arcs)
 
-    def minimal(self, mask: int, bits=None) -> list:
-        """Bits of the members with no proper member subarc: the relative simples.
-
-        ``bits``, if given, are the set bits of ``mask``.
-        """
+    def minimal(self, mask: int) -> list:
+        """Bits of the members with no proper member subarc: the relative simples."""
         sub = self.sub
-        return [k for k in (_bits(mask) if bits is None else bits) if not sub[k] & mask]
+        return [k for k in _bits(mask) if not sub[k] & mask]
 
     def left_of(self, bits) -> int:
         """Mask of the arcs left-orthogonal to every arc at the given bits."""
@@ -416,8 +422,14 @@ class _ArcIndex:
         return tuple(map(self.arcs.__getitem__, bits))
 
 
-def _block_structure(idx: _ArcIndex, rel: list) -> Embedding:
+_factor = itemgetter(1)  # of a (sort key, factor) pair
+
+
+def _block_structure(idx: _ArcIndex, rel: list, family: int) -> Embedding:
     """Organize relative simples (ascending bits) into cycle/line factors by adjacency.
+
+    ``family`` is the mask of the relative simples, which the caller has
+    already read off.
 
     Block A sits directly below block B when A's top is one step below B's
     socle, that is, A is in ``below[B]``.  Within an orthogonal family tops
@@ -430,9 +442,7 @@ def _block_structure(idx: _ArcIndex, rel: list) -> Embedding:
     of its blocks and made only the first time the index meets it.
     """
     below, interned = idx.below, idx.factors
-    family = covered = 0
-    for k in rel:
-        family |= 1 << k
+    covered = 0
     for k in rel:
         under = below[k] & family
         assert not under & (under - 1), "two blocks directly below one block"
@@ -451,28 +461,20 @@ def _block_structure(idx: _ArcIndex, rel: list) -> Embedding:
             blocks |= under
             under = below[walk[-1]] & family
         rest ^= blocks
-        if blocks not in interned:
+        found = interned.get(blocks)
+        if found is None:
             # walk runs from the top block down; reversed, images[k-1] is
             # below images[k]; the key orders by (-length, bottom block)
             walk.reverse()
             factor_cat = idx.cycles[len(walk) - 1] if under else idx.lines[len(walk)]
             key = walk[0] - len(walk) * len(idx.arcs)
-            interned[blocks] = key, EmbeddedFactor(factor_cat, idx.members(walk))
+            found = interned[blocks] = key, EmbeddedFactor(factor_cat, idx.members(walk))
         if under:
-            cycle_factor = (interned[blocks][1],)
+            cycle_factor = (found[1],)
         else:
-            chains.append(interned[blocks])
+            chains.append(found)
     chains.sort()
-    return Embedding(idx.cat, cycle_factor + tuple(f for _, f in chains))
-
-
-def _build_desc(idx: _ArcIndex, bits: list, rel: list, left: list) -> ThickDesc:
-    """The descriptor of the subcategory with member bits ``bits``.
-
-    ``rel`` are the bits of its relative simples and ``left`` those of the
-    relative simples of its left orthogonal, which generate that.
-    """
-    return ThickDesc(idx.cat, idx.members(bits), _block_structure(idx, rel), idx.members(left))
+    return tuple.__new__(Embedding, (idx.cat, cycle_factor + tuple(map(_factor, chains))))
 
 
 def thick_closure(cat: SerialCat, gens) -> ThickDesc:
@@ -487,32 +489,49 @@ def thick_closure(cat: SerialCat, gens) -> ThickDesc:
     # reduce the right orthogonal to its relative simples and collect
     # everything left-orthogonal to those
     closed = idx.left_of(idx.minimal(right))
-    bits = _bits(closed)
-    rel = idx.minimal(closed, bits)
-    return _build_desc(idx, bits, rel, idx.minimal(idx.left_of(rel)))
+    rel = idx.minimal(closed)
+    return tuple.__new__(ThickDesc, (
+        cat,
+        idx.members(_bits(closed)),
+        _block_structure(idx, rel, sum(1 << k for k in rel)),
+        idx.members(idx.minimal(idx.left_of(rel))),
+    ))
 
 
-def _right_orthogonals(full: int, rows: list):
-    """Yield the right-orthogonal masks of all thick subcategories, each with its set bits.
+def _right_orthogonals(idx: _ArcIndex):
+    """Yield the right-orthogonal masks of all thick subcategories, each with
+    its set bits, its relative simples and their mask.
 
-    Walk them from ``full``, the zero subcategory's.  A state is T^perp
+    Walk them from ``idx.full``, the zero subcategory's.  A state is T^perp
     for a thick T, and its set bits are the arcs g right-orthogonal to T;
     ANDing it with g's right mask gives the right orthogonal of the
     semiorthogonal join of T and g.  Every nonzero thick T' is such a
     join of a smaller thick T with an arc of T' in T^perp, so these steps
-    reach every state; no state is closed, and no bit list is kept.
+    reach every state, and no state is closed.  A state is also a member
+    mask, so the one loop over its bits also reads off its relative
+    simples: the bits k with no member in ``sub[k]``, the proper subarcs
+    of arc k.  No second pass over a state finds them.
     """
+    full, rows, sub = idx.full, idx.rows, idx.sub
     seen = {full}
     todo = [full]
     while todo:
         state = todo.pop()
-        bits = _bits(state)
-        yield state, bits
-        for k in bits:
+        bits, rel, family = [], [], 0
+        rest = state
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = low.bit_length() - 1
+            bits.append(k)
             joined = state & rows[k]
             if joined not in seen:
                 seen.add(joined)
                 todo.append(joined)
+            if not sub[k] & state:
+                rel.append(k)
+                family |= low
+        yield state, bits, rel, family
 
 
 def membership(t: ThickDesc, x: Arc) -> bool:
@@ -549,23 +568,32 @@ def enumerate_thick(cat: SerialCat):
 
     Every thick T is the right orthogonal of its left orthogonal, so the
     walk's states are exactly the member masks, and each is a descriptor's
-    signature as it stands.  The relative simples are computed once per
-    state; T's left orthogonal is a state too, and its relative simples,
-    looked up, are T's left generators.  The order is (number of members,
-    sorted members); bit order is ``Arc`` order, so the states sort by
-    (popcount, ascending bits) before any descriptor is built.
+    signature as it stands.  The walk reads each state's relative simples
+    and their mask on its way; T's left orthogonal is a state too, and its
+    relative simples, looked up, are T's left generators.  The order is
+    (number of members, sorted members); bit order is ``Arc`` order, so
+    the states sort by (popcount, ascending bits) before any descriptor is
+    built.
     """
     _check_rank(cat)
     idx = _ArcIndex(cat)
-    states = dict(_right_orthogonals(idx.full, idx.rows))
-    rel = {mask: idx.minimal(mask, bits) for mask, bits in states.items()}
-    ordered = sorted(states, key=states.__getitem__)
+    bits, simples = {}, {}
+    for state, members, rel, family in _right_orthogonals(idx):
+        bits[state] = members
+        simples[state] = rel, family
+    ordered = sorted(bits, key=bits.__getitem__)
     ordered.sort(key=int.bit_count)  # stable: ties keep the order of their bits
-    # a state's bit list serves only its signature: drop it once read
-    return [
-        _build_desc(idx, states.pop(mask), rel[mask], rel[idx.left_of(rel[mask])])
-        for mask in ordered
-    ]
+    arc, left_of, new = idx.arcs.__getitem__, idx.left_of, tuple.__new__
+    out = []
+    for mask in ordered:
+        rel, family = simples[mask]
+        out.append(new(ThickDesc, (
+            cat,
+            tuple(map(arc, bits[mask])),
+            _block_structure(idx, rel, family),
+            tuple(map(arc, simples[left_of(rel)][0])),
+        )))
+    return out
 
 
 def shape_of_thick(t: ThickDesc):

@@ -130,6 +130,8 @@ def _validate(w: WplData, f: SheafClass) -> SheafClass:
     if kind is TorsionW:
         rs = w.weights.r
         i, top, length = f
+        if type(i) is not int or type(top) is not int or type(length) is not int:
+            raise ModelMismatch(f"torsion index, top and length must be integers: {f!r}")
         # never index with i <= 0, which would read a weight from the end
         r = rs[i - 1] if 0 < i <= len(rs) else w.weight_of(i)
         if length < 1:
@@ -141,6 +143,8 @@ def _validate(w: WplData, f: SheafClass) -> SheafClass:
         k = bisect_left(labels, y)
         if k == len(labels) or labels[k] != y:
             raise UnknownPoint(f"ordinary point {y!r} was not declared")
+        if type(length) is not int:
+            raise ModelMismatch(f"torsion length must be an integer: {f!r}")
         if length < 1:
             raise ModelMismatch("torsion length must be >= 1")
         return f

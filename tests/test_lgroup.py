@@ -57,6 +57,16 @@ class TestNormalize:
         u = normalize(W3333, -7, [5, -4, 9, 0])
         assert normalize(W3333, u.a, list(u.b)) == u
 
+    @pytest.mark.parametrize("a, b", [(2.5, [0, 1]), (2, [0, 1.7]), (2.5, [0, 1.7]), ("2", [0, 1])])
+    def test_non_integer_coefficients_are_a_parse_error(self, a, b):
+        # int() alone would truncate (2.5, [0, 1.7]) to LElement(2, (0, 1)), as
+        # Weights refuses a weight 2.5
+        with pytest.raises(ParseError, match="coefficients must be integers"):
+            normalize(Weights((2, 3)), a, b)
+
+    def test_integral_coefficients_are_read(self):
+        assert normalize(Weights((2, 3)), 2.0, [0, True]) == LElement(2, (0, 1))
+
 
 class TestGroupOps:
     def test_relation(self):

@@ -19,7 +19,9 @@ from wpcalc.serial import (
     MAX_CYCLE_RANK,
     MAX_LINE_RANK,
     Arc,
+    Embedding,
     SerialCat,
+    ThickDesc,
     all_arcs,
     count_thick,
     cycle,
@@ -150,6 +152,24 @@ class TestValueTypes:
         # U(2.5) is no category, and would print as U(2)
         with pytest.raises(InvalidArc, match="rank must be an integer"):
             SerialCat(kind, rank)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Arc(cycle(3), 2.5, 1),
+            lambda: Arc(cycle(3), 1, 1.5),
+            lambda: Arc(cycle(3), 2.0, 1),
+            lambda: Arc(cycle(3), True, 1),
+            lambda: Arc(line(3), 2, "2"),
+            lambda: line_arc(3, 1.0, 2),
+            lambda: line_arc(3, 1, 2.0),
+        ],
+    )
+    def test_non_integer_arc_fields_are_refused(self, build):
+        # SerialCat's rule: Arc(U(3), 2.5, 1) would print as arc(2.5,1) and
+        # answer a float dimension
+        with pytest.raises(InvalidArc, match="must be integers"):
+            build()
 
     @pytest.mark.parametrize("text", ["U(0):arc(0,1)", "U(3):arc(0,0)", "A(2):arc(2,3)", "A(3):arc(3,1)"])
     def test_bad_literals(self, text):
@@ -654,10 +674,15 @@ def all_rows_walk(full, rows):
     return seen
 
 
+def walk_states(idx):
+    """The engine's walk as {state: (set bits, relative simples, their mask)}."""
+    walk = serial._right_orthogonals(idx)
+    return {state: (bits, rel, family) for state, bits, rel, family in walk}
+
+
 def walk_count(cat):
     """Number of states of the engine's walk, on an index that has no cap."""
-    idx = serial._ArcIndex(cat)
-    return len(dict(serial._right_orthogonals(idx.full, idx.rows)))
+    return len(walk_states(serial._ArcIndex(cat)))
 
 
 def _proper_subarcs(a):
@@ -760,9 +785,18 @@ class TestWalk:
     @pytest.mark.parametrize("cat", WALK_CATS, ids=str)
     def test_in_state_walk_matches_all_rows_walk(self, cat):
         idx = serial._ArcIndex(cat)
-        states = dict(serial._right_orthogonals(idx.full, idx.rows))
+        states = walk_states(idx)
         assert set(states) == all_rows_walk(idx.full, idx.rows)
-        assert all(bits == serial._bits(state) for state, bits in states.items())
+        assert all(bits == serial._bits(state) for state, (bits, _, _) in states.items())
+
+    @pytest.mark.parametrize("cat", WALK_CATS, ids=str)
+    def test_walk_reads_the_relative_simples(self, cat):
+        # the walk's one bit loop finds what a second pass over each state
+        # finds: the members with no proper member subarc, and their mask
+        idx = serial._ArcIndex(cat)
+        for state, (_, rel, family) in walk_states(idx).items():
+            assert rel == idx.minimal(state), state
+            assert family == sum(1 << k for k in rel), state
 
     @pytest.mark.parametrize("cat", INDEX_CATS, ids=str)
     def test_arithmetic_index_matches_arc_oracle(self, cat):
@@ -782,17 +816,17 @@ class TestWalk:
         idx = serial._ArcIndex(cycle(4))
         rel = sorted(idx.arcs.index(Arc(cycle(4), t, l)) for t, l in family)
         with pytest.raises(AssertionError, match=message):
-            serial._block_structure(idx, rel)
+            serial._block_structure(idx, rel, sum(1 << k for k in rel))
 
     @pytest.mark.parametrize("cat", [cycle(MAX_CYCLE_RANK + 1), line(MAX_LINE_RANK + 1)], ids=str)
     def test_factors_past_the_caps_give_the_ext_quiver(self, cat):
         # thick_closure runs the factor walk at any rank, and enumeration
         # checks it only up to the caps: a seeded sample of states past them
         idx = serial._ArcIndex(cat)
-        states = sorted(dict(serial._right_orthogonals(idx.full, idx.rows)))
-        for state in random.Random(7).sample(states, 3000):
-            rel = idx.minimal(state)
-            emb = serial._block_structure(idx, rel)
+        states = walk_states(idx)
+        for state in random.Random(7).sample(sorted(states), 3000):
+            _, rel, family = states[state]
+            emb = serial._block_structure(idx, rel, family)
             q, objects = mapped_family_quiver(emb)
             assert sorted(objects) == list(idx.members(rel))
             assert same_multigraph(q, expected_factor_quiver(emb))
@@ -870,7 +904,7 @@ class TestWalk:
         # hence bijectively
         for cat in ENUM_CATS:
             idx = serial._ArcIndex(cat)
-            states = set(dict(serial._right_orthogonals(idx.full, idx.rows)))
+            states = set(walk_states(idx))
             assert {idx.left_of(idx.minimal(state)) for state in states} == states, cat
 
 
@@ -931,6 +965,24 @@ class TestEnumerate:
         monkeypatch.setattr(serial, "perp_arc", forbidden)
         for cat in ENUM_CATS:
             assert walk_count(cat) == len(enumerate_thick(cat)) == count_thick(cat), cat
+
+    def test_enumeration_reads_the_walks_relative_simples(self, monkeypatch):
+        # the walk hands each state its relative simples: no second pass
+        def forbidden(*args):
+            raise AssertionError("second pass for relative simples")
+
+        monkeypatch.setattr(serial._ArcIndex, "minimal", forbidden)
+        for cat in ENUM_CATS:
+            assert len(enumerate_thick(cat)) == count_thick(cat), cat
+
+    def test_descriptors_are_exact_types(self):
+        # tuple.__new__ skips the NamedTuple constructors, and must still
+        # give exactly these types
+        descs = enumerate_thick(cycle(3)) + enumerate_thick(line(3))
+        descs.append(thick_closure(cycle(3), [Arc(cycle(3), 0, 2)]))
+        for t in descs:
+            assert type(t) is ThickDesc
+            assert type(t.embedding) is Embedding
 
     def test_count_closes_nothing(self, monkeypatch):
         # distinct right orthogonals are one per subcategory, so the walk

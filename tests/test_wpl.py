@@ -380,6 +380,13 @@ class TestValueTypes:
             (lambda: wpl._validate(W23, TorsionW(1, 0, 0)), ModelMismatch),
             (lambda: wpl._validate(W23, TorsionO("y", 0)), ModelMismatch),
             (lambda: wpl._validate(W23, "O(0)"), ModelMismatch),
+            # hom_ext would answer floats, or raise a bare TypeError on i = 1.0
+            (lambda: hom_ext(W23, TorsionW(1, 0.5, 2), O(W23)), ModelMismatch),
+            (lambda: hom_ext(W23, TorsionW(1.0, 0, 2), O(W23)), ModelMismatch),
+            (lambda: hom_ext(W23, TorsionW(1, 0, 2.0), O(W23)), ModelMismatch),
+            (lambda: hom_ext(W23, TorsionW(1, 0, True), O(W23)), ModelMismatch),
+            (lambda: hom_ext(W23, O(W23), TorsionO("y", 1.5)), ModelMismatch),
+            (lambda: hom_ext(W23, SubTorsionW(1, 0.5, 2), O(W23)), ModelMismatch),
             (lambda: wpl._resolve_point(W23, 3), UnknownPoint),
             (lambda: wpl._resolve_point(W23, 0), UnknownPoint),
             (lambda: top_m(W23, "x1", O(W23).lam, 0), ModelMismatch),
