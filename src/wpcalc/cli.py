@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     _digit_limit,
     check_digit_runs,
+    read_int,
 )
 
 MAX_OUTPUT_OBJECTS = 10**5
@@ -30,9 +31,17 @@ MAX_OUTPUT_OBJECTS = 10**5
 
 def _weights_arg(text: str, flag: str = "--weights"):
     try:
-        return [int(t) for t in text.split(",") if t != ""]
+        return [read_int(t) for t in text.split(",") if t != ""]
     except ValueError as exc:
         raise ParseError(f"bad {flag} value {text!r}") from exc
+
+
+def _int_arg(text: str) -> int:
+    """argparse type of an integer argument: read_int, with argparse's usage line."""
+    try:
+        return read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _read_config(path: str):
@@ -94,13 +103,14 @@ def _bound_output(count: int):
         raise BoundExceeded(f"the output would list more than {MAX_OUTPUT_OBJECTS} objects")
 
 
-def _emit(args, payload: dict, text: str):
+def _emit(args, payload: dict, text: str, file=None):
+    """Print the document under --json, else the text to ``file`` (None: stdout)."""
     if args.json:
         import json
 
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text)
+        print(text, file=file)
 
 
 def _cmd_hom(args):
@@ -287,7 +297,7 @@ _CLASS_PAIR = [_arg("f"), _arg("g")]
 _OBJECTS = [_arg("objects", nargs="+")]
 _ENUMERATE = [
     _arg("action", choices=["enumerate"]),
-    _arg("rank", type=int),
+    _arg("rank", type=_int_arg),
     _arg("--count", action="store_true", help="print only the count"),
 ]
 
@@ -311,7 +321,7 @@ COMMANDS = {
         _cmd_top,
         "m-step top of O(<element>) at a point",
         True,
-        [_arg("point"), _arg("element"), _arg("m", type=int)],
+        [_arg("point"), _arg("element"), _arg("m", type=_int_arg)],
     ),
     "extquiver": (_cmd_extquiver, "Ext-quiver of a vertex-like collection", True, _OBJECTS),
     "check": (
@@ -384,28 +394,17 @@ def main(argv=None) -> int:
     try:
         try:
             _emit(args, *args.fn(args))
-        except InputError as exc:
-            code = 2
-            _report_error(args, exc)
-        except InternalError as exc:
-            code = 1
-            _report_error(args, exc)
+        except (InputError, InternalError) as exc:
+            code = 2 if isinstance(exc, InputError) else 1
+            name = type(exc).__name__
+            error = {"error": {"code": name, "message": str(exc)}}
+            _emit(args, error, f"error [{name}]: {exc}", sys.stderr)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except BrokenPipeError:
         # the reader ended the output, not the input: point stdout at
         # devnull so the flush at interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
-
-
-def _report_error(args, exc):
-    code = type(exc).__name__
-    if getattr(args, "json", False):
-        import json
-
-        print(json.dumps({"error": {"code": code, "message": str(exc)}}))
-    else:
-        print(f"error [{code}]: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -84,3 +84,15 @@ def check_digit_runs(text: str):
     limit = _digit_limit()
     if re.search(r"\d{%d}" % (limit - 1), text):
         raise ParseError(f"literal has a run of {limit - 1} or more digits")
+
+
+def read_int(text) -> int:
+    """Read a typed integer as ``int()`` does, but refuse the ``_`` separator.
+
+    Literals write numbers as plain digit runs, so ``"2_3"`` raises
+    ValueError here where ``int()`` would read 23.  Non-string numbers go
+    to ``int()`` unchanged.
+    """
+    if isinstance(text, str) and "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)

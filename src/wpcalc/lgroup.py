@@ -10,7 +10,7 @@ weight tuple is allowed (L = Z*c, ordinary projective line).
 import re
 from typing import NamedTuple
 
-from .errors import ModelMismatch, ParseError, UnknownPoint, check_digit_runs
+from .errors import ModelMismatch, ParseError, UnknownPoint, check_digit_runs, read_int
 
 
 class _WeightsFields(NamedTuple):
@@ -21,10 +21,11 @@ class Weights(_WeightsFields):
     __slots__ = ()
 
     def __new__(cls, r):
-        # int() reads digit strings, but would truncate 2.5 to a weight 2
+        # read_int reads digit strings as literals write them (no "_"), and
+        # other numbers as int() does, which would truncate 2.5 to a weight 2
         r = tuple(r)
         try:
-            rr = tuple(int(x) for x in r)
+            rr = tuple(map(read_int, r))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"weights must be integers, got {r!r}") from exc
         if any(n != x and not isinstance(x, str) for n, x in zip(rr, r)):

@@ -101,6 +101,8 @@ class Arc(_ArcFields):
     __slots__ = ()
 
     def __new__(cls, cat, top, length):
+        if not isinstance(cat, SerialCat):
+            raise InvalidArc(f"an arc needs a serial category, got {cat!r}")
         if type(top) is not int or type(length) is not int:
             raise InvalidArc(f"arc top and length must be integers, got {top!r}, {length!r}")
         if length < 1:
@@ -186,6 +188,8 @@ def dims(x: Arc, y: Arc) -> HomExt:
     One tube count on the category's ``tube_rank``: an arc of A_n is the
     arc of U_{n+1} with the same top and length.
     """
+    if not (isinstance(x, Arc) and isinstance(y, Arc)):
+        raise InvalidArc(f"dims needs two arcs, got {x!r}, {y!r}")
     cat = x.cat
     if cat != y.cat:
         raise CategoryMismatch(f"arcs live in different categories: {cat} vs {y.cat}")
@@ -479,9 +483,13 @@ def _block_structure(idx: _ArcIndex, rel: list, family: int) -> Embedding:
 
 def thick_closure(cat: SerialCat, gens) -> ThickDesc:
     """The thick subcategory generated by the given arcs."""
+    if not isinstance(cat, SerialCat):
+        raise InvalidArc(f"thick_closure needs a serial category, got {cat!r}")
     idx = _ArcIndex(cat)
     right = idx.full
     for g in gens:
+        if not isinstance(g, Arc):
+            raise InvalidArc(f"generator {g!r} is not an arc")
         if g.cat != cat:
             raise CategoryMismatch(f"generator {g} is not in {cat}")
         right &= idx.right(g)

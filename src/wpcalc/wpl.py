@@ -139,6 +139,8 @@ def _validate(w: WplData, f: SheafClass) -> SheafClass:
         return f if 0 <= top < r else tuple.__new__(TorsionW, (i, top % r, length))
     if kind is TorsionO:
         y, length = f
+        if not isinstance(y, str):
+            raise ModelMismatch(f"ordinary point label must be a string: {f!r}")
         labels = w.ordinary  # sorted, so a bisection finds y
         k = bisect_left(labels, y)
         if k == len(labels) or labels[k] != y:

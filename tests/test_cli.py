@@ -572,6 +572,24 @@ class TestErrors:
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error [ParseError]: " + message)
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["count-big", "--weights", "2_3"], "error [ParseError]: bad --weights value '2_3'"),
+            (["star", "--weights", "3,3", "--tops", "0_1,1"], "error [ParseError]: bad --tops value '0_1,1'"),
+            (["tube", "enumerate", "0_4"], "wpc tube: error: argument rank: invalid int value: '0_4'"),
+            (["top", "x1", "0", "1_0", "--weights", "3"], "wpc top: error: argument m: invalid int value: '1_0'"),
+        ],
+        ids=repr,
+    )
+    def test_typed_integers_refuse_underscores(self, argv, line):
+        # literals refuse "2_3" (O(2_3c) exits 2), where int() alone reads 23
+        assert _outcome(main, argv) == (2, "", line + "\n")
+
+    def test_typed_integers_read_as_int_does(self):
+        assert _outcome(main, ["count-big", "--weights", " 2, 3"]) == (0, "30\n", "")
+        assert _outcome(main, ["tube", "enumerate", " 2", "--count"]) == (0, "6\n", "")
+
     def test_input_error_exit_2(self, capsys):
         code, out, err = run(capsys, "tube", "enumerate", "9")
         assert code == 2
@@ -606,6 +624,34 @@ class TestErrors:
         assert json.loads(out) == {
             "error": {"code": "NonNegativityViolation", "message": "negative dimension -1"}
         }
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("outcome", ["answer", "InputError", "InternalError"])
+    def test_one_outcome_is_one_emit(self, monkeypatch, outcome, mode):
+        # answers and errors reach the one writer once: the document goes to
+        # stdout under --json, an error's text to stderr
+        calls = []
+        monkeypatch.setattr(cli, "_emit", lambda args, *rest: calls.append((args.json, *rest)))
+        argv = ["hom", "--weights", "2,3", "O(0)", "O(c)"]
+        if outcome == "InputError":
+            argv[-1] = "S(3,1)"
+        elif outcome == "InternalError":
+            def broken(*args):
+                raise NonNegativityViolation("negative dimension -1")
+
+            monkeypatch.setattr(wpl, "hom_ext", broken)
+        code = main(argv + mode)
+        if outcome == "answer":
+            want = (0, {"hom": 2, "ext1": 0}, "hom=2 ext1=0")
+        else:
+            name, message = {
+                "InputError": ("ParseError", "bad torsion literal 'S(3,1)': no weighted point x3"),
+                "InternalError": ("NonNegativityViolation", "negative dimension -1"),
+            }[outcome]
+            doc = {"error": {"code": name, "message": message}}
+            want = (2 if outcome == "InputError" else 1, doc, f"error [{name}]: {message}", sys.stderr)
+        assert [(code, *call[1:]) for call in calls] == [want]
+        assert calls[0][0] == bool(mode)
 
     def test_no_traceback_in_text_mode(self, capsys):
         code, out, err = run(capsys, "hom", "--weights", "2", "O(xx)", "O(0)")

@@ -147,7 +147,7 @@ class TestOneErrorPerFault:
 
 
 class TestWeights:
-    @pytest.mark.parametrize("r", [[2.5, 3], ["2.5"], [3, None], ["x"]], ids=repr)
+    @pytest.mark.parametrize("r", [[2.5, 3], ["2.5"], [3, None], ["x"], ["2_3"]], ids=repr)
     def test_non_integer_weights_are_a_parse_error(self, r):
         # int() alone would read 2.5 as a weight 2, and "2.5" as a bare ValueError
         with pytest.raises(ParseError, match="weights must be integers"):
@@ -160,6 +160,15 @@ class TestWeights:
     def test_integer_strings_and_integral_numbers_are_read(self):
         assert Weights(("2", 3)) == Weights([2.0, " 3 "]) == Weights(iter([2, 3]))
         assert Weights(("2", 3)).r == (2, 3)
+
+
+def test_read_int_reads_as_int_but_refuses_underscores():
+    # literals write plain digit runs; int() alone reads "2_3" as 23
+    for value in (" -12 ", "+7", "0", 5, 2.0):
+        assert errors.read_int(value) == int(value)
+    for text in ("2_3", "_1", "1_", "x"):
+        with pytest.raises(ValueError):
+            errors.read_int(text)
 
 
 class TestOmega:

@@ -171,6 +171,24 @@ class TestValueTypes:
         with pytest.raises(InvalidArc, match="must be integers"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Arc("cycle", 1, 1),
+            lambda: Arc(("cycle", 3), 0, 1),
+            lambda: dims(Arc(cycle(3), 0, 1), "x"),
+            lambda: dims("x", Arc(cycle(3), 0, 1)),
+            # a descriptor has a .cat, but is no arc
+            lambda: dims(thick_closure(cycle(3), []), Arc(cycle(3), 0, 1)),
+            lambda: thick_closure("U(3)", []),
+            lambda: thick_closure(cycle(3), [(0, 1)]),
+        ],
+    )
+    def test_foreign_types_are_refused(self, build):
+        # each would otherwise end in a bare AttributeError
+        with pytest.raises(InvalidArc):
+            build()
+
     @pytest.mark.parametrize("text", ["U(0):arc(0,1)", "U(3):arc(0,0)", "A(2):arc(2,3)", "A(3):arc(3,1)"])
     def test_bad_literals(self, text):
         with pytest.raises(ParseError):

@@ -386,6 +386,10 @@ class TestValueTypes:
             (lambda: hom_ext(W23, TorsionW(1, 0, 2.0), O(W23)), ModelMismatch),
             (lambda: hom_ext(W23, TorsionW(1, 0, True), O(W23)), ModelMismatch),
             (lambda: hom_ext(W23, O(W23), TorsionO("y", 1.5)), ModelMismatch),
+            # a non-string label would reach the bisection as a bare TypeError
+            (lambda: hom_ext(W23, TorsionO(1, 1), TorsionO(1, 1)), ModelMismatch),
+            (lambda: hom_ext(W23, O(W23), TorsionO(None, 1)), ModelMismatch),
+            (lambda: hom_ext(WplData((2, 3)), O(W23), TorsionO(1, 1)), ModelMismatch),
             (lambda: hom_ext(W23, SubTorsionW(1, 0.5, 2), O(W23)), ModelMismatch),
             (lambda: wpl._resolve_point(W23, 3), UnknownPoint),
             (lambda: wpl._resolve_point(W23, 0), UnknownPoint),
