@@ -6,16 +6,17 @@ error (bad flags, unparseable literals, out-of-range requests), 1
 internal invariant violation.  Text-mode errors are one-line messages,
 never tracebacks.  A command whose output grows with a rank or weight
 refuses, before building its output, an output of more than
-``MAX_OUTPUT_OBJECTS`` objects.  ``json`` and :mod:`wpcalc.quiver` are
-imported by the code paths that use them, so a plain query starts
-without them.
+``MAX_OUTPUT_OBJECTS`` objects.  Each command imports only the engine
+it runs: the sheaf commands :mod:`wpcalc.wpl` and :mod:`wpcalc.lgroup`,
+``tube``/``line`` and ``perp`` on a serial arc :mod:`wpcalc.serial`.
+``json`` and :mod:`wpcalc.quiver` are likewise imported by the code
+paths that use them, so a plain query starts without them.
 """
 
 import argparse
 import os
 import sys
 
-from . import lgroup, serial, wpl
 from .errors import (
     BoundExceeded,
     InputError,
@@ -74,7 +75,9 @@ def _read_config(path: str):
     return weights, ordinary
 
 
-def _model(args) -> wpl.WplData:
+def _model(args):
+    from . import lgroup, wpl
+
     weights = _weights_arg(args.weights)
     ordinary = [t for t in args.ordinary.split(",") if t.strip()]
     if args.config:
@@ -114,6 +117,8 @@ def _emit(args, payload: dict, text: str, file=None):
 
 
 def _cmd_hom(args):
+    from . import wpl
+
     w = _model(args)
     f = wpl.parse_sheaf(w, args.f)
     g = wpl.parse_sheaf(w, args.g)
@@ -122,18 +127,24 @@ def _cmd_hom(args):
 
 
 def _cmd_euler(args):
+    from . import wpl
+
     w = _model(args)
     val = wpl.euler(w, wpl.parse_sheaf(w, args.f), wpl.parse_sheaf(w, args.g))
     return {"euler": val}, str(val)
 
 
 def _cmd_tau(args):
+    from . import wpl
+
     w = _model(args)
     out = wpl.tau_sheaf(w, wpl.parse_sheaf(w, args.f))
     return {"class": str(out)}, str(out)
 
 
 def _cmd_twist(args):
+    from . import wpl
+
     w = _model(args)
     f = wpl.parse_sheaf(w, args.f)
     op = wpl.sigma_twist if args.functor == "sigma" else wpl.c_twist
@@ -142,6 +153,8 @@ def _cmd_twist(args):
 
 
 def _cmd_top(args):
+    from . import lgroup, wpl
+
     w = _model(args)
     lam = lgroup.parse_element(w.weights, args.element)
     out = wpl.top_m(w, args.point, lam, args.m)
@@ -149,6 +162,7 @@ def _cmd_top(args):
 
 
 def _cmd_extquiver(args):
+    from . import wpl
     from .quiver import quiver_to_json_dict, quiver_to_text
 
     w = _model(args)
@@ -157,6 +171,8 @@ def _cmd_extquiver(args):
 
 
 def _cmd_check(args):
+    from . import wpl
+
     w = _model(args)
     family = [wpl.parse_sheaf(w, t) for t in args.objects]
     if args.property == "exceptional":
@@ -166,7 +182,7 @@ def _cmd_check(args):
     return {args.property: ok}, "true" if ok else "false"
 
 
-def _factor_payload(emb: serial.Embedding) -> list:
+def _factor_payload(emb) -> list:
     return [
         {
             "kind": f.cat.kind,
@@ -179,6 +195,8 @@ def _factor_payload(emb: serial.Embedding) -> list:
 
 def _cmd_perp(args):
     if args.target.lstrip().startswith(("U(", "A(")):
+        from . import serial
+
         arc = serial.parse_arc(args.target)
         _bound_output(arc.cat.rank - 1)  # the factors' simples
         emb = serial.perp_arc(arc)
@@ -188,6 +206,8 @@ def _cmd_perp(args):
             for f in factors
         )
         return {"ambient": str(emb.ambient), "factors": factors}, text
+    from . import wpl
+
     w = _model(args)
     e = wpl.parse_sheaf(w, args.target)
     if isinstance(e, wpl.TorsionW):
@@ -207,9 +227,11 @@ def _cmd_perp(args):
 
 
 def _enumerate_payload(descs) -> list:
+    from .serial import shape_of_thick
+
     out = []
     for t in descs:
-        has_cycle, lines = serial.shape_of_thick(t)
+        has_cycle, lines = shape_of_thick(t)
         out.append(
             {
                 "signature": [[a.top, a.length] for a in t.signature],
@@ -222,6 +244,8 @@ def _enumerate_payload(descs) -> list:
 
 
 def _cmd_enumerate(args, kind):
+    from . import serial
+
     cat = serial.cycle(args.rank) if kind == "cycle" else serial.line(args.rank)
     n = serial.count_thick(cat)
     if args.count:
@@ -249,6 +273,8 @@ def _cmd_count_big(args):
     weights with 1000 * sum(r - 1) >= 3322 * limit are refused before any
     binomial is computed; below that the exact count decides.
     """
+    from . import wpl
+
     w = _model(args)
     limit = _digit_limit()
     if 1000 * sum(r - 1 for r in w.weights.r) < 3322 * limit:
@@ -259,6 +285,7 @@ def _cmd_count_big(args):
 
 
 def _cmd_classify(args):
+    from . import wpl
     from .quiver import quiver_to_json_dict, quiver_to_text
 
     w = _model(args)
@@ -274,6 +301,8 @@ def _cmd_classify(args):
 
 
 def _cmd_canonical(args):
+    from . import wpl
+
     w = _model(args)
     _bound_output(2 + sum(r - 1 for r in w.weights.r))
     labels = [str(f) for f in wpl.canonical_collection(w)]
@@ -281,6 +310,8 @@ def _cmd_canonical(args):
 
 
 def _cmd_star(args):
+    from . import wpl
+
     w = _model(args)
     tops = _weights_arg(args.tops, "--tops") if args.tops else [0] * w.weights.p
     _bound_output(2 + 2 * sum(max(b, 0) for b in tops))  # bundles and dual family

@@ -11,12 +11,12 @@ one; tau^n = id on a rank-n tube.
 A_n is U_{n+1} without residue 0: the Serre subcategory of the modules
 with no composition factor there, the arc (j, l) of A_n being the arc of
 U_{n+1} with the same top and length.  So Hom and Ext^1 between arcs are
-one tube count, :func:`cycle_dims` on ``SerialCat.tube_rank``, for both
-kinds, and the sheaf model's torsion pairs share it; ``all_arcs`` and
-``perp_arc`` list and cut arcs on that tube too, and intervals appear
-only in literals.  The matrix oracle, :mod:`wpcalc.nilrep` via
-:func:`realize`, builds a line arc on the quiver A_n itself, so it
-checks this reading rather than repeating it.
+one tube count, :func:`wpcalc.tube.cycle_dims` on
+``SerialCat.tube_rank``, for both kinds, and the sheaf model's torsion
+pairs share it; ``all_arcs`` and ``perp_arc`` list and cut arcs on that
+tube too, and intervals appear only in literals.  The matrix oracle,
+:mod:`wpcalc.nilrep` via :func:`realize`, builds a line arc on the
+quiver A_n itself, so it checks this reading rather than repeating it.
 
 Thick subcategories are enumerated as joins of one-arc closures.  Every
 thick subcategory here is admissible, so it is the join of the
@@ -47,6 +47,7 @@ from .errors import (
     ParseError,
     check_digit_runs,
 )
+from .tube import HomExt, cycle_dims
 
 MAX_CYCLE_RANK = 6
 MAX_LINE_RANK = 8
@@ -138,27 +139,6 @@ def line_arc(n: int, i: int, j: int) -> Arc:
     return Arc(line(n), j, j - i + 1)
 
 
-class HomExt(NamedTuple):
-    hom: int
-    ext1: int
-
-
-def cycle_dims(n: int, shift: int, lx: int, ly: int) -> HomExt:
-    """(dim Hom(x, y), dim Ext^1(x, y)) for arcs of U_n of lengths lx, ly
-    with y.top - x.top = shift.
-
-    A map is determined by the image of the top basis vector of x, which
-    must land in the fiber of y at x.top and die after lx shifts: on one
-    of the positions k of y in [ly - m, ly - 1], m = min(lx, ly), with
-    k = shift mod n.  Ext^1 is Hom(y, tau x): lengths swapped, shift
-    x.top - 1 - y.top, so k in [lx - m, lx - 1] with k = -shift - 1 mod n.
-    Each count is a difference of two floor quotients.
-    """
-    m = lx if lx < ly else ly
-    hom = (ly - 1 - shift) // n - (ly - m - 1 - shift) // n
-    return tuple.__new__(HomExt, (hom, (lx + shift) // n - (lx - m + shift) // n))
-
-
 def cycle_zero_row(n: int, top: int, length: int, arcs) -> int:
     """Mask of the arcs y with Hom(x, y) = Ext^1(x, y) = 0, x the arc of U_n
     with this top and length; bit k stands for ``arcs[k]``.
@@ -223,6 +203,8 @@ def realize(a: Arc):
     and has a 1 at [k // n][(k - 1) // n].  The matrix oracle is imported
     here, so the closed-form engine and the CLI do not load it.
     """
+    if not isinstance(a, Arc):
+        raise InvalidArc(f"realize needs an arc, got {a!r}")
     from . import nilrep
 
     n = a.cat.tube_rank
@@ -274,6 +256,8 @@ def perp_arc(e: Arc) -> Embedding:
     line factor read from residue 1 up: the simples ``1, ..., s-m-1``,
     the arc (s, m+1) when s > m, and the simples ``s+1, ..., n-1``.
     """
+    if not isinstance(e, Arc):
+        raise InvalidArc(f"perp_arc needs an arc, got {e!r}")
     cat = e.cat
     n, m, s = cat.tube_rank, e.length, e.top
     if m > n:
@@ -549,13 +533,17 @@ def membership(t: ThickDesc, x: Arc) -> bool:
     the left perpendicular must vanish on x.  Valid for arcs of any
     length because the subcategory is admissible.
     """
+    if not (isinstance(t, ThickDesc) and isinstance(x, Arc)):
+        raise InvalidArc(f"membership needs a thick subcategory and an arc, got {t!r}, {x!r}")
     if x.cat != t.cat:
         raise CategoryMismatch(f"arc {x} is not in {t.cat}")
     return all(dims(g, x) == (0, 0) for g in t.left_orthogonal)
 
 
 def _check_rank(cat: SerialCat):
-    """Refuse a rank past the enumeration caps."""
+    """Refuse anything but a serial category, and a rank past the enumeration caps."""
+    if not isinstance(cat, SerialCat):
+        raise InvalidArc(f"enumeration needs a serial category, got {cat!r}")
     if cat.kind == "cycle" and cat.rank > MAX_CYCLE_RANK:
         raise BoundExceeded(f"tube enumeration capped at rank {MAX_CYCLE_RANK}")
     if cat.kind == "line" and cat.rank > MAX_LINE_RANK:
@@ -606,6 +594,8 @@ def enumerate_thick(cat: SerialCat):
 
 def shape_of_thick(t: ThickDesc):
     """(has cycle factor, line factor lengths in sorted order)."""
+    if not isinstance(t, ThickDesc):
+        raise InvalidArc(f"shape_of_thick needs a thick subcategory, got {t!r}")
     cats = [f.cat for f in t.embedding.factors]
     has_cycle = any(f.kind == "cycle" for f in cats)
     lengths = sorted(f.rank for f in cats if f.kind == "line" and f.rank > 0)

@@ -37,8 +37,8 @@ from .errors import (
     check_digit_runs,
 )
 from .lgroup import LElement, Weights
-from .serial import Arc, HomExt, cycle, perp_arc
-from .serial import cycle_dims as tube_dims
+from .tube import HomExt
+from .tube import cycle_dims as tube_dims
 
 _POINT_X = re.compile(r"x(\d+)")  # x<i> addresses the weighted point x_i
 
@@ -201,7 +201,7 @@ def hom_ext(w: WplData, f: SheafClass, g: SheafClass) -> HomExt:
     * torsion to line bundle: Ext^1 is the same count against the arc tau f,
       whose top is one lower, so ``s = top - 1 - b_i``;
     * torsion to torsion at a common point: tube arithmetic, one
-      :func:`wpcalc.serial.cycle_dims` call for Hom and Ext^1 together.
+      :func:`wpcalc.tube.cycle_dims` call for Hom and Ext^1 together.
     """
     f = _validate(w, f)
     g = _validate(w, g)
@@ -374,7 +374,8 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
     with r_i replaced by r_i - m (the point becomes ordinary when that is
     1) times A_{m-1}.  The generators are the ambient simples of
     :func:`wpcalc.serial.perp_arc`; the line chain is listed from the
-    top down.
+    top down.  ``serial`` is imported here, so the rest of the sheaf
+    model loads without it.
     """
     e = _validate(w, e)
     if not isinstance(e, TorsionW):
@@ -387,6 +388,8 @@ def perp_exceptional_torsion(w: WplData, e: SheafClass) -> PerpTorsionResult:
         )
     dropped = r - m == 1
     new_r = rs[: e.i - 1] + (() if dropped else (r - m,)) + rs[e.i :]
+    from .serial import Arc, cycle, perp_arc
+
     tube, chain = perp_arc(Arc(cycle(r), e.top, m)).factors
 
     def classes(arcs):

@@ -293,6 +293,66 @@ def test_plain_queries_load_no_json_dataclasses_or_quiver():
     assert len(lines) == 5 and json.loads(lines[4]) == {"hom": 2, "ext1": 0}
 
 
+def engines_loaded(argvs):
+    """Exit codes of ``main`` on each argv, run in one fresh process, and
+    the engine modules that process loaded."""
+    engines = ["wpcalc.lgroup", "wpcalc.serial", "wpcalc.wpl"]
+    script = (
+        "import contextlib, io, sys, wpcalc.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [c.main(argv) for argv in {argvs!r}]\n"
+        f"print(codes, sorted(set({engines!r}) & set(sys.modules)))"
+    )
+    src = str(Path(wpcalc.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return proc.stdout.strip()
+
+
+def test_sheaf_commands_load_no_serial():
+    """The sheaf commands run on ``wpl`` and ``lgroup`` alone.  ``perp`` on
+    a sheaf loads ``serial`` only to cut an exceptional arc's tube, so its
+    refusals load none."""
+    argvs = [
+        ["hom", "--weights", "2,3", "O(0)", "S(2,1)[2]"],
+        ["hom", "--json", "--weights", "2,3", "S(1,0)", "S(1,1)"],
+        ["euler", "--weights", "2,3", "--ordinary", "y", "O(c)", "T(y)[2]"],
+        ["tau", "--weights", "2,3", "S(2,1)[2]"],
+        ["twist", "sigma", "x1", "O(0)", "--weights", "2,3"],
+        ["top", "x1", "0", "2", "--weights", "2,3"],
+        ["check", "exceptional", "O(0)", "O(c)", "--weights", "2,3"],
+        ["classify", "--weights", "2,3", "S(1,0)", "O(x1)"],
+        ["classify", "--weights", "2,3", "O(0)", "S(2,0)[3]"],
+        ["canonical", "--weights", "2,3"],
+        ["star", "--weights", "2,3", "--tops", "1,2"],
+        ["count-big", "--weights", "2,3"],
+        ["perp", "--weights", "2,3", "S(2,0)[3]"],
+        ["perp", "--weights", "2,3", "O(0)"],
+    ]
+    want_codes = [0] * 12 + [2, 2]
+    assert engines_loaded(argvs) == f"{want_codes} ['wpcalc.lgroup', 'wpcalc.wpl']"
+
+
+def test_serial_commands_load_no_sheaf_model():
+    """``tube``/``line enumerate`` and ``perp`` on a serial arc run on
+    ``serial`` alone."""
+    argvs = [
+        ["tube", "enumerate", "3"],
+        ["tube", "enumerate", "4", "--json"],
+        ["tube", "enumerate", "6", "--count"],
+        ["line", "enumerate", "3"],
+        ["line", "enumerate", "8", "--count", "--json"],
+        ["perp", "U(3):arc(0,1)"],
+        ["perp", "--json", "A(6):arc(3,4)"],
+    ]
+    assert engines_loaded(argvs) == f"{[0] * 7} ['wpcalc.serial']"
+
+
 @pytest.mark.parametrize(
     "argv, first_line, code",
     [
@@ -864,7 +924,7 @@ def test_readme_layout_names_exist():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
     rows = re.findall(r"^\| `(wpcalc\.\w+)` \| (.*) \|$", table, re.M)
-    modules = {f"wpcalc.{m}" for m in ("quiver", "nilrep", "linalg", "serial", "lgroup", "wpl", "cli")}
+    modules = {f"wpcalc.{m}" for m in ("quiver", "nilrep", "linalg", "tube", "serial", "lgroup", "wpl", "cli")}
     assert {m for m, _ in rows} == modules
     for module, contents in rows:
         mod = importlib.import_module(module)

@@ -182,6 +182,13 @@ class TestValueTypes:
             lambda: dims(thick_closure(cycle(3), []), Arc(cycle(3), 0, 1)),
             lambda: thick_closure("U(3)", []),
             lambda: thick_closure(cycle(3), [(0, 1)]),
+            lambda: enumerate_thick("x"),
+            lambda: count_thick(("cycle", 3)),
+            lambda: perp_arc("x"),
+            lambda: realize("x"),
+            lambda: membership(thick_closure(cycle(3), []), "x"),
+            lambda: membership("x", Arc(cycle(3), 0, 1)),
+            lambda: shape_of_thick("x"),
         ],
     )
     def test_foreign_types_are_refused(self, build):

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -553,16 +557,40 @@ class TestHomExt:
 
     def test_no_intermediate_object(self, monkeypatch):
         # Hom and Ext^1 are read off integers: no tau f, no tube or arc is
-        # built for any pair kind, raw tops and gradings included
+        # built for any pair kind, raw tops and gradings included.  wpl
+        # reads serial's arcs only in perp_exceptional_torsion, by these names
         pairs = list(itertools.product(EVERY_KIND, repeat=2))
         want = [hom_ext(W23, f, g) for f, g in pairs]
 
         def forbidden(*args):
             raise AssertionError("intermediate object on the Hom path")
 
-        for name in ("Arc", "cycle"):
-            monkeypatch.setattr(wpl, name, forbidden)
+        for name in ("Arc", "cycle", "perp_arc"):
+            monkeypatch.setattr(serial, name, forbidden)
         assert [hom_ext(W23, f, g) for f, g in pairs] == want
+
+    def test_hom_path_loads_no_serial(self):
+        # a fresh process that runs hom_ext on every pair kind never
+        # imports the thick-subcategory engine
+        script = (
+            "import sys\n"
+            "from wpcalc.lgroup import LElement, Weights\n"
+            "from wpcalc.wpl import LineBundle, TorsionO, TorsionW, WplData, hom_ext\n"
+            f"kinds = {EVERY_KIND!r}\n"
+            "w = WplData(Weights([2, 3]), ['y'])\n"
+            "print([tuple(hom_ext(w, f, g)) for f in kinds for g in kinds])\n"
+            "print('wpcalc.serial' in sys.modules)"
+        )
+        src = str(Path(wpl.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        want = [tuple(hom_ext(W23, f, g)) for f, g in itertools.product(EVERY_KIND, repeat=2)]
+        assert proc.stdout.splitlines() == [repr(want), "False"]
 
     @pytest.mark.parametrize("i", [0, -1, 3])
     def test_point_index_out_of_range(self, i):
