@@ -182,17 +182,6 @@ def _cmd_check(args):
     return {args.property: ok}, "true" if ok else "false"
 
 
-def _factor_payload(emb) -> list:
-    return [
-        {
-            "kind": f.cat.kind,
-            "rank": f.cat.rank,
-            "simples": [str(a) for a in f.simple_images],
-        }
-        for f in emb.factors
-    ]
-
-
 def _cmd_perp(args):
     if args.target.lstrip().startswith(("U(", "A(")):
         from . import serial
@@ -200,7 +189,10 @@ def _cmd_perp(args):
         arc = serial.parse_arc(args.target)
         _bound_output(arc.cat.rank - 1)  # the factors' simples
         emb = serial.perp_arc(arc)
-        factors = _factor_payload(emb)
+        factors = [
+            {"kind": f.cat.kind, "rank": f.cat.rank, "simples": [str(a) for a in f.simple_images]}
+            for f in emb.factors
+        ]
         text = " x ".join(
             f"{f['kind']}({f['rank']}): " + (", ".join(f["simples"]) or "-")
             for f in factors
@@ -226,44 +218,31 @@ def _cmd_perp(args):
     return payload, text
 
 
-def _enumerate_payload(descs) -> list:
-    from .serial import shape_of_thick
-
-    out = []
-    for t in descs:
-        has_cycle, lines = shape_of_thick(t)
-        out.append(
-            {
-                "signature": [[a.top, a.length] for a in t.signature],
-                "relative_simples": [[a.top, a.length] for a in t.relative_simples()],
-                "has_cycle_factor": has_cycle,
-                "line_lengths": lines,
-            }
-        )
-    return out
-
-
-def _cmd_enumerate(args, kind):
+def _cmd_enumerate(args):
+    """``tube`` or ``line enumerate``: one JSON entry and one text line per subcategory."""
     from . import serial
 
-    cat = serial.cycle(args.rank) if kind == "cycle" else serial.line(args.rank)
+    cat = (serial.cycle if args.command == "tube" else serial.line)(args.rank)
     n = serial.count_thick(cat)
     if args.count:
         return {"category": str(cat), "count": n}, str(n)
     _bound_output(n)  # the listing has one entry per subcategory; --count lists none
-    payload = {
-        "category": str(cat),
-        "count": n,
-        "subcategories": _enumerate_payload(serial.enumerate_thick(cat)),
-    }
-    lines = [f"{str(cat)}: {n} thick subcategories"]
-    for entry in payload["subcategories"]:
-        sig = " ".join(f"({t},{l})" for t, l in entry["signature"]) or "-"
-        shape = ("cycle+" if entry["has_cycle_factor"] else "") + ",".join(
-            f"A{k}" for k in entry["line_lengths"]
+    entries = []
+    lines = [f"{cat}: {n} thick subcategories"]
+    for t in serial.enumerate_thick(cat):
+        has_cycle, lengths = serial.shape_of_thick(t)
+        entries.append(
+            {
+                "signature": [[a.top, a.length] for a in t.signature],
+                "relative_simples": [[a.top, a.length] for a in t.relative_simples()],
+                "has_cycle_factor": has_cycle,
+                "line_lengths": lengths,
+            }
         )
+        sig = " ".join(f"({a.top},{a.length})" for a in t.signature) or "-"
+        shape = ("cycle+" if has_cycle else "") + ",".join(f"A{k}" for k in lengths)
         lines.append(f"sig={sig} shape={shape or 'zero'}")
-    return payload, "\n".join(lines)
+    return {"category": str(cat), "count": n, "subcategories": entries}, "\n".join(lines)
 
 
 def _cmd_count_big(args):
@@ -367,8 +346,8 @@ COMMANDS = {
         True,
         [_arg("target", help="U(n):arc(top,len), A(n):arc(i,j), or a sheaf literal")],
     ),
-    "tube": (lambda a: _cmd_enumerate(a, "cycle"), "tube thick subcategories", False, _ENUMERATE),
-    "line": (lambda a: _cmd_enumerate(a, "line"), "A_n thick subcategories", False, _ENUMERATE),
+    "tube": (_cmd_enumerate, "tube thick subcategories", False, _ENUMERATE),
+    "line": (_cmd_enumerate, "A_n thick subcategories", False, _ENUMERATE),
     "count-big": (_cmd_count_big, "number of big subcategories", True, []),
     "classify": (
         _cmd_classify,

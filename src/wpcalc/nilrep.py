@@ -16,8 +16,7 @@ Nilpotency is enforced when a Rep is constructed: the total action,
 held as sparse rows of its exact nonzero entries, is squared until it
 vanishes or its exponent reaches the total dimension.  ``hom_ext1``
 leaves the quiver check to ``hom_dim`` and takes the Euler term straight
-from the two reps' ``dims``, with no copy and no key check;
-:func:`euler_form` checks its keys first.
+from the two reps' ``dims``, which hold every vertex of the quiver.
 
 A Rep holds each arrow matrix only as the sparse list of its nonzero
 entries; nothing here builds a dense matrix.  Entries are exact
@@ -125,13 +124,6 @@ def _square(t) -> dict:
     return out
 
 
-def simple_rep(q: Quiver, v) -> Rep:
-    """The simple module concentrated at vertex ``v``: all matrices zero."""
-    if v not in q.vertices:
-        raise UnknownVertex(f"unknown vertex {v!r}")
-    return Rep(q, {v: 1}, [[] for _ in q.arrows])
-
-
 def hom_dim(m: Rep, n: Rep) -> int:
     """dim of the intertwiner space, by kernel dimension of the exact system.
 
@@ -194,24 +186,6 @@ def _euler(q: Quiver, d, e) -> int:
     for (u, v) in q.arrows:
         total -= d[v] * e[u]
     return total
-
-
-def euler_form(q: Quiver, d, e) -> int:
-    """Euler pairing sum(d_v e_v) - sum over arrows u->v of d_v e_u.
-
-    ``d`` and ``e`` may omit vertices (dimension 0) but must not name
-    any outside ``q``.  The arrow term uses the same right-module
-    convention as Rep matrices; it is exactly the convention that makes
-    ``ext1_dim(s_i, s_j)`` equal the number of arrows from j to i.
-    """
-    dd = dict.fromkeys(q.vertices, 0)
-    ee = dict.fromkeys(q.vertices, 0)
-    for given, full in ((dict(d), dd), (dict(e), ee)):
-        for key in given:
-            if key not in full:
-                raise QuiverMismatch(f"dimension vector mentions unknown vertex {key!r}")
-        full.update(given)
-    return _euler(q, dd, ee)
 
 
 def hom_ext1(m: Rep, n: Rep) -> tuple:

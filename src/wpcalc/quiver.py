@@ -65,10 +65,3 @@ def quiver_to_text(q: Quiver) -> str:
 
 def quiver_to_json_dict(q: Quiver) -> dict:
     return {"vertices": list(q.vertices), "arrows": [[s, t] for s, t in q.arrows]}
-
-
-def same_multigraph(a: Quiver, b: Quiver) -> bool:
-    """Equality as labeled multigraphs (vertex sets and arrow multisets)."""
-    if set(a.vertices) != set(b.vertices):
-        return False
-    return sorted(map(repr, a.arrows)) == sorted(map(repr, b.arrows))

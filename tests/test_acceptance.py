@@ -10,12 +10,12 @@ import random
 import time
 from math import comb
 
-from test_quiver import arrow_count
+from test_quiver import arrow_count, same_multigraph, simple_rep
 from test_serial import expected_factor_quiver, mapped_family_quiver
 from test_wpl import random_classes
 from wpcalc import lgroup, nilrep, wpl
 from wpcalc.lgroup import Weights
-from wpcalc.quiver import Quiver, same_multigraph
+from wpcalc.quiver import Quiver
 from wpcalc.serial import (
     Arc,
     all_arcs,
@@ -149,7 +149,7 @@ def test_criterion_7_lemma_on_simples():
         q = Quiver(vertices, arrows)
         for i in vertices:
             for j in vertices:
-                si, sj = nilrep.simple_rep(q, i), nilrep.simple_rep(q, j)
+                si, sj = simple_rep(q, i), simple_rep(q, j)
                 assert nilrep.ext1_dim(si, sj) == arrow_count(q, j, i)
                 checked += 1
     _report(7, f"ext1(s_i, s_j) = #arrows(j -> i) on 50 random quivers ({checked} pairs)")

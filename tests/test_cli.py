@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -90,6 +91,24 @@ class TestJson:
         assert "bogus" in doc["error"]["message"]
 
 
+# sha256 of the listings' stdout, as the CI packaging step pins them
+LISTING_SHA256 = {
+    "tube enumerate 6 --json": "bdb6f6b5c87867293b9a79920c57a9bc4ad7956c4691ac159b0f3aec74e88444",
+    "line enumerate 8 --json": "2fc83ac232ca74593cd0b5f42e0f61933c7ece1a6452aa35d4b1c181ffef8e19",
+    "tube enumerate 6": "761b72681eca8416dda03dbb14f620ccb7c08ed12ff224a7bddca2285a64644f",
+    "line enumerate 8": "2aba2766e607e3fd718ca470384d8bca237d5d2a33238a03906740281a38c9fd",
+    "tube enumerate 4 --json": "a3b22ea7321372e62324399842d9e2f8c8e3aaa3e8a042c046a6a69f17bbabef",
+    "line enumerate 5": "257a9eceace53b7ea8cca389be61608e56e32916453efef3bd52d9f6e208f0e5",
+}
+
+
+@pytest.mark.parametrize("argv", list(LISTING_SHA256))
+def test_listing_bytes_match_the_ci_hashes(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256[argv]
+
+
 class TestCommands:
     def test_euler(self, capsys):
         code, out, _ = run(capsys, "euler", "--weights", "2,3", "O(0)", "O(c)")
@@ -149,6 +168,15 @@ class TestCommands:
         doc = json.loads(out)
         assert [(f["kind"], f["rank"]) for f in doc["factors"]] == [("line", 2), ("line", 1)]
         assert doc["factors"][0]["simples"] == ["A(4):arc(1,3)", "A(4):arc(4,4)"]
+
+    def test_perp_line_arc_document(self, capsys):
+        code, out, _ = run(capsys, "perp", "A(6):arc(3,4)", "--json")
+        assert code == 0
+        assert out == (
+            '{"ambient": "A(6)", "factors": [{"kind": "line", "rank": 4, "simples": '
+            '["A(6):arc(1,1)", "A(6):arc(2,4)", "A(6):arc(5,5)", "A(6):arc(6,6)"]}, '
+            '{"kind": "line", "rank": 1, "simples": ["A(6):arc(3,3)"]}]}\n'
+        )
 
     def test_tube_enumerate_text_listing(self, capsys):
         code, out, _ = run(capsys, "tube", "enumerate", "1")

@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from wpcalc import nilrep
 from wpcalc.errors import UnknownVertex
-from wpcalc.quiver import (
-    Quiver,
-    ext_quiver,
-    quiver_to_json_dict,
-    quiver_to_text,
-    same_multigraph,
-)
+from wpcalc.quiver import Quiver, ext_quiver, quiver_to_json_dict, quiver_to_text
 
 KRONECKER = Quiver([1, 2], [(1, 2), (1, 2)])
 LOOP = Quiver([1], [(1, 1)])
@@ -22,6 +16,20 @@ Z3 = Quiver([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
 
 def arrow_count(q, src, dst):
     return sum(1 for s, t in q.arrows if s == src and t == dst)
+
+
+def same_multigraph(a: Quiver, b: Quiver) -> bool:
+    """Equality as labeled multigraphs (vertex sets and arrow multisets)."""
+    if set(a.vertices) != set(b.vertices):
+        return False
+    return sorted(map(repr, a.arrows)) == sorted(map(repr, b.arrows))
+
+
+def simple_rep(q: Quiver, v) -> nilrep.Rep:
+    """The simple module concentrated at vertex ``v``: all matrices zero."""
+    if v not in q.vertices:
+        raise UnknownVertex(f"unknown vertex {v!r}")
+    return nilrep.Rep(q, {v: 1}, [[] for _ in q.arrows])
 
 
 def simple_ext_dims(q):
@@ -74,7 +82,7 @@ class TestSimpleExtDims:
             m = simple_ext_dims(q)
             for i, vi in enumerate(q.vertices):
                 for j, vj in enumerate(q.vertices):
-                    si, sj = nilrep.simple_rep(q, vi), nilrep.simple_rep(q, vj)
+                    si, sj = simple_rep(q, vi), simple_rep(q, vj)
                     assert m[i][j] == nilrep.ext1_dim(si, sj)
 
 

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from test_linalg import dense_matrices, mat_mul
+from test_quiver import same_multigraph
 from wpcalc import linalg, nilrep, serial
 from wpcalc.errors import (
     BoundExceeded,
@@ -14,7 +15,7 @@ from wpcalc.errors import (
     InvalidArc,
     ParseError,
 )
-from wpcalc.quiver import Quiver, ext_quiver, same_multigraph
+from wpcalc.quiver import Quiver, ext_quiver
 from wpcalc.serial import (
     MAX_CYCLE_RANK,
     MAX_LINE_RANK,

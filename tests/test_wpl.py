@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from test_quiver import same_multigraph
 from test_serial import expected_factor_quiver, left_mask_states
 from wpcalc import lgroup, linalg, serial, wpl
 from wpcalc.cli import main
@@ -21,7 +22,7 @@ from wpcalc.errors import (
     UnknownVertex,
 )
 from wpcalc.lgroup import LElement, Weights
-from wpcalc.quiver import Quiver, same_multigraph
+from wpcalc.quiver import Quiver
 from wpcalc.serial import cycle, enumerate_thick, shape_of_thick
 from wpcalc.wpl import (
     ClassifyKind,
